@@ -10,13 +10,19 @@ closure computing parent gradients. ``Tensor.backward()`` walks the graph in
 reverse topological order and accumulates gradients additively, so a value
 consumed twice receives the sum of both contributions.
 
+A graph is consumed by one backward pass: ``backward()`` drops each node's
+closure and parent links once it has run, so reference counting frees the
+graph without waiting for the cyclic garbage collector.
+
 Graphs are single-threaded per model instance; independent instances share
-no mutable state and may be driven from different threads.
+no mutable state and may be driven from different threads. ``no_grad``
+applies to the calling thread only.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -61,27 +67,34 @@ class ShapeError(ValueError):
     """Operands have incompatible shapes or parameters."""
 
 
-_GRAD_ENABLED = True
+class _GradMode(threading.local):
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
 
 
 class no_grad:
-    """Context manager that disables graph construction (eval passes)."""
+    """Context manager that disables graph construction (eval passes) in the
+    calling thread; other threads keep building graphs."""
 
     def __enter__(self):
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        self._prev = _GRAD_MODE.enabled
+        _GRAD_MODE.enabled = False
         return self
 
     def __exit__(self, *exc):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
+        _GRAD_MODE.enabled = self._prev
         return False
 
 
 def _finite_or_raise(data: np.ndarray, op: str) -> None:
-    # NaN and +/-Inf both poison a sum, so a single reduction covers the check.
-    if not np.isfinite(np.sum(data)):
+    # NaN and +/-Inf both poison a sum, so one reduction clears the common
+    # case. Finite values can still overflow the sum, so a non-finite sum is
+    # confirmed elementwise before raising.
+    with np.errstate(over="ignore"):
+        total = np.sum(data)
+    if not np.isfinite(total) and not np.isfinite(data).all():
         raise NumericsError(f"non-finite values produced by node '{op}'")
 
 
@@ -124,7 +137,13 @@ class Tensor:
         return Tensor(self.data)
 
     def backward(self) -> None:
-        """Populate grads of every reachable tensor, starting from a scalar."""
+        """Populate grads of every reachable tensor, starting from a scalar.
+
+        Consumes the graph: each node's closure and parent links are dropped
+        once its closure has run, so intermediates (and the buffers their
+        closures hold) are freed during the walk. A graph can be
+        backpropagated once; build it again for a second pass.
+        """
         if self.data.size != 1:
             raise ShapeError("backward() expects a scalar loss")
         # Iterative post-order DFS; creation order already respects topology,
@@ -145,9 +164,12 @@ class Tensor:
             else:
                 topo.append(node)
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward()
+            node._backward = None
+            node._parents = ()
 
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype}, op={self.op!r})"
@@ -157,7 +179,7 @@ def _result(out_data: np.ndarray, parents: tuple[Tensor, ...], op: str) -> tuple
     """Wrap op output; returns (tensor, needs_backward_closure)."""
     _finite_or_raise(out_data, op)
     out = Tensor(out_data, op=op)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _GRAD_MODE.enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         return out, True
@@ -199,13 +221,83 @@ def weighted_sum(t: Tensor, coeffs: np.ndarray) -> Tensor:
 # convolution / affine
 # ---------------------------------------------------------------------------
 
+def _axis(size: int, k: int, before: int, after: int, s: int):
+    """One spatial axis of a correlation with `before`/`after` zero padding
+    (a negative amount crops). Returns the output length, the live taps
+    [lo, hi), which are the only kernel offsets that can reach a real
+    element, and the input range [start, stop) those taps read; indices
+    outside [0, size) are padding."""
+    out = (size + before + after - k) // s + 1
+    lo = max(0, before - (out - 1) * s)
+    hi = min(k, size + before)
+    start = lo - before
+    return out, lo, hi, start, start + (out - 1) * s + hi - lo
+
+
+def _slab(xd: np.ndarray, h0: int, h1: int, w0: int, w1: int) -> np.ndarray:
+    """xd[:, :, h0:h1, w0:w1], reading zeros where the range leaves the array."""
+    h, w = xd.shape[2:]
+    core = xd[:, :, max(h0, 0):min(h1, h), max(w0, 0):min(w1, w)]
+    pad = (max(-h0, 0), max(h1 - h, 0), max(-w0, 0), max(w1 - w, 0))
+    if not any(pad):
+        return core
+    return np.pad(core, ((0, 0), (0, 0), pad[:2], pad[2:]))
+
+
+def _unslab(gs: np.ndarray, h: int, w: int, h0: int, w0: int) -> np.ndarray:
+    """Adjoint of `_slab`: the (h, w) input's share of a slab gradient."""
+    a0, a1 = max(h0, 0), min(h0 + gs.shape[2], h)
+    b0, b1 = max(w0, 0), min(w0 + gs.shape[3], w)
+    part = gs[:, :, a0 - h0:a1 - h0, b0 - w0:b1 - w0]
+    if part.shape[2:] == (h, w):
+        return part
+    gx = np.zeros(gs.shape[:2] + (h, w), dtype=gs.dtype)
+    gx[:, :, a0:a1, b0:b1] = part
+    return gx
+
+
+def _correlate(xd: np.ndarray, wd: np.ndarray, stride: int, pad_h: tuple,
+               pad_w: tuple, groups: int):
+    """Grouped cross-correlation of raw NCHW and OIHW arrays on the live taps.
+
+    `pad_h` and `pad_w` are (before, after) zero padding per axis; negative
+    amounts crop. Returns the output, the column matrix (N, groups,
+    Cin/groups * kh * kw, Hout * Wout) over the live taps, and the geometry
+    `(hout, wout, th, tw, ih, iw)`: live tap ranges `th`/`tw` and input
+    ranges `ih`/`iw` as (start, stop) pairs.
+    """
+    n, cin, h, w = xd.shape
+    cout, cin_g, kh, kw = wd.shape
+    hout, th0, th1, ih0, ih1 = _axis(h, kh, *pad_h, stride)
+    wout, tw0, tw1, iw0, iw1 = _axis(w, kw, *pad_w, stride)
+    kh, kw = th1 - th0, tw1 - tw0
+    if kh == kw == 1 and stride == 1 and (ih0, ih1, iw0, iw1) == (0, h, 0, w):
+        # A 1x1 window over the whole input: the input is the column matrix.
+        cols = xd.reshape(n, groups, cin_g, h * w)
+    else:
+        xs = _slab(xd, ih0, ih1, iw0, iw1)
+        win = sliding_window_view(xs, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+        cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(
+            n, groups, cin_g * kh * kw, hout * wout)
+    wm = wd[:, :, th0:th1, tw0:tw1].reshape(groups, cout // groups, cin_g * kh * kw)
+    out = np.matmul(wm, cols).reshape(n, cout, hout, wout)
+    return out, cols, (hout, wout, (th0, th1), (tw0, tw1), (ih0, ih1), (iw0, iw1))
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
            stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
     """2-d cross-correlation with zero padding and grouped channels.
 
-    ``groups == Cin == Cout`` gives depth-wise convolution. Forward is im2col
-    plus one batched matmul per call; backward scatters window gradients back
-    with a k*k loop of strided adds.
+    ``groups == Cin == Cout`` gives depth-wise convolution. Only the kernel
+    taps that can reach a real pixel are computed (a same-padded 9x9 kernel
+    on a 2x2 map runs as 3x3); cropped taps get an exactly-zero weight
+    gradient. Forward is im2col over those taps plus one batched matmul per
+    group. Backward forms the weight gradient as one GEMM over batch and
+    space when ``groups == 1`` and per group otherwise; at stride 1 the input
+    gradient is the forward correlation of the output gradient with the
+    flipped, channel-swapped kernel, and at larger strides a scatter of the
+    window gradients. The closure holds the column matrix until the one
+    backward pass that consumes the graph drops it.
     """
     xd, wd = x.data, weight.data
     if xd.ndim != 4 or wd.ndim != 4:
@@ -223,18 +315,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
         raise ShapeError(f"conv2d: weight expects Cin/groups={cin // groups}, got {cin_g}")
     if bias is not None and bias.data.shape != (cout,):
         raise ShapeError("conv2d: bias must have shape (Cout,)")
-    hout = (h + 2 * padding - k) // stride + 1
-    wout = (w + 2 * padding - k) // stride + 1
-    if hout < 1 or wout < 1:
+    if h + 2 * padding < k or w + 2 * padding < k:
         raise ShapeError("conv2d: kernel larger than padded input")
 
     p = padding
-    xp = np.pad(xd, ((0, 0), (0, 0), (p, p), (p, p))) if p else xd
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(
-        n, groups, cin_g * k * k, hout * wout)
-    wm = wd.reshape(groups, cout // groups, cin_g * k * k)
-    out_data = np.matmul(wm, cols).reshape(n, cout, hout, wout)
+    out_data, cols, geom = _correlate(xd, wd, stride, (p, p), (p, p), groups)
+    hout, wout, (th0, th1), (tw0, tw1) = geom[:4]
     if bias is not None:
         out_data = out_data + bias.data[None, :, None, None]
 
@@ -244,21 +330,50 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
         def _bwd():
             g = out.grad.reshape(n, groups, cout // groups, hout * wout)
             if weight.requires_grad:
-                gw = np.matmul(g, cols.transpose(0, 1, 3, 2)).sum(axis=0)
-                _accum(weight, gw.reshape(wd.shape))
+                if groups == 1:
+                    gw = np.tensordot(g[:, 0], cols[:, 0], axes=([0, 2], [0, 2]))
+                else:
+                    gw = np.matmul(g, cols.transpose(0, 1, 3, 2)).sum(axis=0)
+                gw = gw.reshape(cout, cin_g, th1 - th0, tw1 - tw0)
+                if gw.shape != wd.shape:
+                    full = np.zeros_like(wd)
+                    full[:, :, th0:th1, tw0:tw1] = gw
+                    gw = full
+                _accum(weight, gw)
             if bias is not None and bias.requires_grad:
                 _accum(bias, out.grad.sum(axis=(0, 2, 3)))
             if x.requires_grad:
-                gcols = np.matmul(wm.transpose(0, 2, 1), g)
-                gcols = gcols.reshape(n, cin, k, k, hout, wout)
-                gxp = np.zeros((n, cin, h + 2 * p, w + 2 * p), dtype=xd.dtype)
-                for i in range(k):
-                    for j in range(k):
-                        gxp[:, :, i:i + stride * hout:stride,
-                            j:j + stride * wout:stride] += gcols[:, :, i, j]
-                _accum(x, gxp[:, :, p:p + h, p:p + w])
+                _accum(x, _conv_input_grad(out.grad, wd, stride, p, groups,
+                                           geom, h, w))
         out._backward = _bwd
     return out
+
+
+def _conv_input_grad(g: np.ndarray, wd: np.ndarray, stride: int, p: int,
+                     groups: int, geom: tuple, h: int, w: int) -> np.ndarray:
+    """Gradient of a conv2d with respect to its (h, w) input, given the
+    output gradient `g` and the forward's `_correlate` geometry."""
+    n, cout = g.shape[:2]
+    cin_g, k = wd.shape[1], wd.shape[2]
+    cin, og = cin_g * groups, cout // groups
+    if stride == 1:
+        # Correlate g with the kernel flipped in space and with in/out
+        # channels swapped per group; padding k-1-p < 0 crops g instead.
+        wf = wd.reshape(groups, og, cin_g, k, k).transpose(0, 2, 1, 3, 4)
+        wf = wf.reshape(cin, og, k, k)[:, :, ::-1, ::-1]
+        q = k - 1 - p
+        return _correlate(g, wf, 1, (q, q), (q, q), groups)[0]
+    hout, wout, (th0, th1), (tw0, tw1), (ih0, ih1), (iw0, iw1) = geom
+    kh, kw = th1 - th0, tw1 - tw0
+    wm = wd[:, :, th0:th1, tw0:tw1].reshape(groups, og, cin_g * kh * kw)
+    gcols = np.matmul(wm.transpose(0, 2, 1), g.reshape(n, groups, og, hout * wout))
+    gcols = gcols.reshape(n, cin, kh, kw, hout, wout)
+    gs = np.zeros((n, cin, ih1 - ih0, iw1 - iw0), dtype=gcols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            gs[:, :, i:i + stride * hout:stride,
+               j:j + stride * wout:stride] += gcols[:, :, i, j]
+    return _unslab(gs, h, w, ih0, iw0)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:

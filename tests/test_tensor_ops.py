@@ -1,10 +1,15 @@
 """Forward values and backward bookkeeping of the autodiff ops."""
 
+import gc
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
 from fedconv import autodiff as ad
 from fedconv.autodiff import Tensor
+from fedconv.gradcheck import finite_diff_check
 
 from helpers import naive_conv2d
 
@@ -69,6 +74,27 @@ class TestConv2d:
         assert w.grad.shape == w.shape
         # d(sum)/db_c counts output positions of channel c
         np.testing.assert_allclose(b.grad, np.full(4, 2 * 25.0))
+
+    @pytest.mark.parametrize("hw,live", [(1, slice(4, 5)), (2, slice(3, 6))])
+    def test_same_padded_k9_depthwise_cropped_taps(self, hw, live):
+        # At 1x1 and 2x2 a same-padded 9x9 kernel reaches real pixels only
+        # with its central 1x1 and 3x3 taps; every other tap reads padding.
+        rng = np.random.default_rng(hw)
+        x = rng.standard_normal((2, 3, hw, hw))
+        w = rng.standard_normal((3, 1, 9, 9))
+        b = rng.standard_normal(3)
+        xt, wt = t(x, grad=True), t(w, grad=True)
+        out = ad.conv2d(xt, wt, t(b), padding=4, groups=3)
+        np.testing.assert_allclose(
+            out.data, naive_conv2d(x, w, b, padding=4, groups=3), atol=1e-12, rtol=0)
+        ad.weighted_sum(out, rng.standard_normal(out.shape)).backward()
+        dead = np.ones((9, 9), dtype=bool)
+        dead[live, live] = False
+        assert np.all(wt.grad[:, :, dead] == 0.0)
+        assert np.all(wt.grad[:, :, live, live] != 0.0)
+        err = finite_diff_check(
+            lambda a, c: ad.conv2d(a, c, padding=4, groups=3), [x, w])
+        assert err < 1e-6
 
     def test_group_mismatch_raises(self):
         x = t(np.zeros((1, 3, 4, 4)))
@@ -324,6 +350,62 @@ class TestGraph:
         a, b = run(), run()
         for left, right in zip(a, b):
             assert np.array_equal(left, right)
+
+    def test_finite_values_with_overflowing_sum_pass(self):
+        # Each element is finite in float32, their sum (4e39) is not.
+        x = t(np.full((4, 1000), 1e36), dtype=np.float32)
+        out = ad.relu(x)
+        np.testing.assert_array_equal(out.data, x.data)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_element_among_large_values_raises(self, bad):
+        data = np.full((4, 1000), 1e36, dtype=np.float32)
+        data[2, 7] = bad
+        with pytest.raises(ad.NumericsError, match="relu"):
+            ad.relu(t(data, dtype=np.float32))
+
+    def test_backward_frees_graph_without_gc(self):
+        rng = np.random.default_rng(5)
+        x = t(rng.standard_normal((2, 3, 6, 6)))
+        w = t(rng.standard_normal((4, 3, 3, 3)), grad=True)
+
+        def build():
+            hidden = ad.silu(ad.conv2d(x, w, padding=1))
+            return ad.weighted_sum(hidden, np.ones(hidden.shape)), weakref.ref(hidden.data)
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            loss, hidden_data = build()
+            loss.backward()
+            del loss
+            assert hidden_data() is None
+        finally:
+            if enabled:
+                gc.enable()
+        assert w.grad is not None and np.any(w.grad != 0.0)
+
+    def test_no_grad_is_per_thread(self):
+        inside, release = threading.Event(), threading.Event()
+        seen = {}
+
+        def evaluator():
+            with ad.no_grad():
+                inside.set()
+                release.wait(timeout=10)
+                seen["eval"] = ad.relu(t(np.ones((1, 2)), grad=True)).requires_grad
+
+        worker = threading.Thread(target=evaluator)
+        worker.start()
+        try:
+            assert inside.wait(timeout=10)
+            out = ad.relu(t(np.ones((1, 2)), grad=True))
+        finally:
+            release.set()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert out.requires_grad and out._backward is not None
+        assert seen == {"eval": False}
 
     def test_nan_aborts_with_node_name(self):
         x = t(np.array([[[[np.inf]]]]))
