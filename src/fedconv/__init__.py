@@ -14,9 +14,9 @@ from .data import (Dataset, ks_two, load_cifar10_binary, mean_pairwise_ks,
 from .federated import (ClientState, FLMethodConfig, aggregate_fedavg,
                         aggregate_fedbn, central_train, local_update,
                         run_federated, yogi_server_step)
-from .models import (ArchConfig, Network, build_model, calibrate_depths,
-                     count_flops, count_params, fedconv_config,
-                     fedconv_tiny_config, mean_activation_stat, resnet_m_config)
+from .models import (ArchConfig, Network, calibrate_depths, count_flops,
+                     count_params, fedconv_config, fedconv_tiny_config,
+                     mean_activation_stat, resnet_m_config)
 from .optim import AGCConfig, AdamW, LrSchedule, SGD, agc_clip, lr_at
 from .reporting import (ExperimentReport, RoundRecord, evaluate,
                         load_checkpoint, rounds_to_target, save_checkpoint,

@@ -133,9 +133,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = np.zeros_like(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def backward(self) -> None:
         """Populate grads of every reachable tensor, starting from a scalar.
 
@@ -636,26 +633,21 @@ def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
                   np.where(xd > 0, 1.0, alpha * en).astype(xd.dtype), "elu")
 
 
-def activation(kind: str, x: Tensor, alpha: "Tensor | float | None" = None) -> Tensor:
-    """Dispatch by activation kind; `alpha` is a Tensor for prelu, a float
-    for lrelu/elu (defaults 0.01 and 1.0), ignored otherwise."""
-    if kind == "relu":
-        return relu(x)
-    if kind == "lrelu":
-        return leaky_relu(x, 0.01 if alpha is None else float(alpha))
+_FIXED_ACTIVATIONS = {"relu": relu, "lrelu": leaky_relu, "softplus": softplus,
+                      "gelu": gelu, "silu": silu, "elu": elu}
+
+
+def activation(kind: str, x: Tensor, alpha: Tensor | None = None) -> Tensor:
+    """Apply the activation named `kind` (one of ACTIVATION_KINDS). `alpha` is
+    the per-channel slope Tensor that prelu requires; the other kinds ignore
+    it and use fixed constants (lrelu slope 0.01, elu alpha 1.0)."""
     if kind == "prelu":
         if not isinstance(alpha, Tensor):
             raise ShapeError("prelu requires a per-channel alpha Tensor")
         return prelu(x, alpha)
-    if kind == "softplus":
-        return softplus(x)
-    if kind == "gelu":
-        return gelu(x)
-    if kind == "silu":
-        return silu(x)
-    if kind == "elu":
-        return elu(x, 1.0 if alpha is None else float(alpha))
-    raise ShapeError(f"unknown activation kind {kind!r}")
+    if kind not in _FIXED_ACTIVATIONS:
+        raise ShapeError(f"unknown activation kind {kind!r}")
+    return _FIXED_ACTIVATIONS[kind](x)
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .autodiff import NumericsError
 from .config import ConfigValidationError, load_config, parse_experiment
-from .data import DataError, label_histograms, mean_pairwise_ks
+from .data import DataError, label_histograms
 from .federated import _build_partition, _load_data, central_train, run_federated
 from .models import ConfigError, Network, calibrate_depths, count_flops, count_params
 from .reporting import (CheckpointError, evaluate, load_checkpoint,
@@ -42,8 +40,9 @@ def _out_dir(exp, args) -> Path:
 def _load(args):
     exp = load_config(args.config)
     if args.seed is not None:
-        exp.seed = args.seed
-        exp.raw["seed"] = args.seed
+        # Re-validated, so the override obeys the config file's seed rules.
+        exp = replace(parse_experiment(dict(exp.raw, seed=args.seed)),
+                      output_dir=exp.output_dir)
     return exp
 
 
@@ -132,12 +131,9 @@ def cmd_sweep(args) -> int:
     exp = _load(args)  # validates the base config up front
     out_dir = _out_dir(exp, args)
     out_dir.mkdir(parents=True, exist_ok=True)
-    base_doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    if args.seed is not None:
-        base_doc["seed"] = args.seed
     rows = []
     for value in args.values:
-        doc = copy.deepcopy(base_doc)
+        doc = copy.deepcopy(exp.raw)
         doc["arch"][args.axis] = int(value) if args.axis == "kernel_size" else value
         run_exp = parse_experiment(doc)
         report = run_federated(run_exp, threads=args.threads)

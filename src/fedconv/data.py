@@ -134,7 +134,7 @@ def ks_two(p: np.ndarray, q: np.ndarray) -> float:
     for v in (p, q):
         if v.min() < 0 or abs(v.sum() - 1.0) > 1e-9:
             raise DataError("distribution must be non-negative and sum to 1")
-    return float(np.max(np.abs(np.cumsum(p) - np.cumsum(q))))
+    return _mean_ks(np.stack([p, q]))
 
 
 def label_histograms(partition: dict[int, np.ndarray], labels: np.ndarray,
@@ -147,28 +147,24 @@ def mean_pairwise_ks(partition: dict[int, np.ndarray], labels: np.ndarray,
                      num_classes: int) -> float:
     """Mean of ks_two over all unordered client pairs."""
     hists = label_histograms(partition, labels, num_classes)
-    dists = {}
-    for cid, h in hists.items():
-        total = h.sum()
+    rows = []
+    for cid in sorted(hists):
+        total = hists[cid].sum()
         if total == 0:
             raise DataError(f"client {cid} has no samples")
-        dists[cid] = h / total
-    ids = sorted(dists)
-    if len(ids) < 2:
-        return 0.0
-    vals = [ks_two(dists[a], dists[b])
-            for i, a in enumerate(ids) for b in ids[i + 1:]]
-    return float(np.mean(vals))
+        rows.append(hists[cid] / total)
+    return _mean_ks(np.stack(rows)) if rows else 0.0
 
 
-def _ks_of_proportions(props: np.ndarray) -> float:
+def _mean_ks(props: np.ndarray) -> float:
+    """Mean over unordered row pairs (i < j) of max |CDF_i - CDF_j|, where
+    each row of `props` is one client's label distribution."""
     m = len(props)
     if m < 2:
         return 0.0
     cdfs = np.cumsum(props, axis=1)
-    vals = [np.max(np.abs(cdfs[i] - cdfs[j]))
-            for i in range(m) for j in range(i + 1, m)]
-    return float(np.mean(vals))
+    i, j = np.triu_indices(m, k=1)
+    return float(np.mean(np.abs(cdfs[i] - cdfs[j]).max(axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -182,15 +178,13 @@ def partition_iid(dataset: Dataset, num_clients: int, seed: int) -> dict[int, np
     if num_clients < 1 or num_clients > len(dataset):
         raise DataError("num_clients must be in [1, dataset size]")
     rng = np.random.default_rng([seed, 17])
-    out: dict[int, list] = {cid: [] for cid in range(num_clients)}
-    offset = 0
+    order = []
     for k in range(dataset.num_classes):
         idx = np.flatnonzero(dataset.labels == k)
-        idx = idx[rng.permutation(len(idx))]
-        for j, sample in enumerate(idx):
-            out[(offset + j) % num_clients].append(sample)
-        offset = (offset + len(idx)) % num_clients
-    return {cid: np.sort(np.array(v, dtype=np.int64)) for cid, v in out.items()}
+        order.append(idx[rng.permutation(len(idx))])
+    order = np.concatenate(order).astype(np.int64, copy=False)
+    owner = np.arange(len(order)) % num_clients
+    return {cid: np.sort(order[owner == cid]) for cid in range(num_clients)}
 
 
 def _client_preferences(num_clients: int, num_classes: int) -> np.ndarray:
@@ -235,7 +229,7 @@ def partition_label_skew(dataset: Dataset, num_clients: int, target_ks: float,
     def props_at(beta: float) -> np.ndarray:
         return (1.0 - beta) * uniform + beta * prefs
 
-    if _ks_of_proportions(props_at(1.0)) + tolerance < target_ks:
+    if _mean_ks(props_at(1.0)) + tolerance < target_ks:
         raise DataError(
             f"target mean KS {target_ks} unreachable with {num_clients} clients "
             f"and {c} classes")
@@ -244,7 +238,7 @@ def partition_label_skew(dataset: Dataset, num_clients: int, target_ks: float,
     beta = 1.0
     for _ in range(max_iter):
         beta = 0.5 * (lo + hi)
-        ks = _ks_of_proportions(props_at(beta))
+        ks = _mean_ks(props_at(beta))
         if abs(ks - target_ks) <= 0.5 * tolerance:
             break
         if ks < target_ks:

@@ -302,6 +302,18 @@ def _make_schedule(optim_cfg, method: FLMethodConfig) -> LrSchedule:
     return LrSchedule(base, optim_cfg.warmup_epochs, optim_cfg.total_epochs)
 
 
+def _report(exp, records: list[RoundRecord], ks: float | None) -> ExperimentReport:
+    """The report of a finished run; `ks` is None for a centralized run."""
+    params = count_params(exp.arch)
+    rtt = (rounds_to_target(records, exp.target_accuracy)
+           if exp.target_accuracy is not None else None)
+    return ExperimentReport(
+        config=exp.raw, params=params, partition_mean_ks=ks, records=records,
+        final_accuracy=records[-1].accuracy,
+        target_accuracy=exp.target_accuracy, rounds_to_target=rtt,
+        tms=tms(params, rtt) if rtt is not None else None)
+
+
 def run_federated(exp, threads: int = 1, round_checkpoint=None,
                   capture: dict | None = None) -> ExperimentReport:
     """Execute the configured number of communication rounds (early-stopping
@@ -361,14 +373,7 @@ def run_federated(exp, threads: int = 1, round_checkpoint=None,
 
     if capture is not None:
         capture.update(state=global_state, model=global_model, clients=clients)
-    params = count_params(exp.arch)
-    rtt = (rounds_to_target(records, exp.target_accuracy)
-           if exp.target_accuracy is not None else None)
-    return ExperimentReport(
-        config=exp.raw, params=params, partition_mean_ks=ks, records=records,
-        final_accuracy=records[-1].accuracy,
-        target_accuracy=exp.target_accuracy, rounds_to_target=rtt,
-        tms=tms(params, rtt) if rtt is not None else None)
+    return _report(exp, records, ks)
 
 
 def central_train(exp, round_checkpoint=None,
@@ -408,11 +413,4 @@ def central_train(exp, round_checkpoint=None,
 
     if capture is not None:
         capture.update(state=model.state_dict(), model=model, optimizer=optimizer)
-    params = count_params(exp.arch)
-    rtt = (rounds_to_target(records, exp.target_accuracy)
-           if exp.target_accuracy is not None else None)
-    return ExperimentReport(
-        config=exp.raw, params=params, partition_mean_ks=None, records=records,
-        final_accuracy=records[-1].accuracy,
-        target_accuracy=exp.target_accuracy, rounds_to_target=rtt,
-        tms=tms(params, rtt) if rtt is not None else None)
+    return _report(exp, records, None)

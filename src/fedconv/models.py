@@ -121,13 +121,6 @@ def _block_convs(kind: str, width: int, k: int, dtype):
     raise ConfigError(f"unknown block kind {kind!r}")
 
 
-def build_block(kind: str, width: int, kernel_size: int, activation: str,
-                act_placement: str, norm_placement: str, norm_kind: str,
-                dtype=np.float32) -> "Block":
-    return Block(kind, width, kernel_size, activation, act_placement,
-                 norm_placement, norm_kind, dtype)
-
-
 class Block:
     """Residual block: three convolutions with configurable norm/activation
     insertion after each, plus an identity shortcut around the whole branch."""
@@ -308,10 +301,6 @@ class Network:
             t.data[...] = state[n]
         for n, b in self._buffers.items():
             b[...] = state[n]
-
-
-def build_model(cfg: ArchConfig, dtype=np.float32) -> Network:
-    return Network(cfg, dtype)
 
 
 # ---------------------------------------------------------------------------

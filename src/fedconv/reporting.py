@@ -143,10 +143,11 @@ def load_checkpoint(stem) -> dict[str, np.ndarray]:
         if offset != expected:
             raise CheckpointError(f"manifest line {lineno}: non-contiguous offset")
         dt = np.dtype(_TAG_TO_NP[tag])
-        nbytes = dt.itemsize * int(np.prod(shape, dtype=np.int64)) if shape else dt.itemsize
+        count = int(np.prod(shape))  # 1 for a scalar, 0 for a zero-size entry
+        nbytes = dt.itemsize * count
         if offset + nbytes > len(blob):
             raise CheckpointError(f"blob truncated: {name!r} needs {offset + nbytes} bytes")
-        out[name] = np.frombuffer(blob, dtype=dt, count=max(1, nbytes // dt.itemsize),
+        out[name] = np.frombuffer(blob, dtype=dt, count=count,
                                   offset=offset).reshape(shape).copy()
         expected = offset + nbytes
     if expected != len(blob):

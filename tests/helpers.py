@@ -2,7 +2,8 @@
 
 These deliberately avoid the package's im2col/matmul path: convolution is
 re-done with explicit window loops, FLOPs by literal per-tap enumeration,
-activation means under N(0, 1) by quadrature of scalar textbook formulas.
+activation means under N(0, 1) by quadrature of scalar textbook formulas,
+label-distribution KS by scalar loops over class counts.
 """
 
 import math
@@ -91,3 +92,20 @@ ACTIVATION_FORMULAS = {
     "silu": lambda z: z * 0.5 * (1.0 + math.tanh(0.5 * z)),
     "elu": lambda z: z if z > 0 else math.expm1(z),
 }
+
+
+def mean_pairwise_ks_oracle(counts):
+    """Mean over unordered pairs of clients of the largest gap between their
+    cumulative label proportions. `counts` holds one list of per-class sample
+    counts per client, classes in index order; scalar loops only."""
+    cdfs = []
+    for row in counts:
+        total = sum(row)
+        acc, cdf = 0, []
+        for c in row:
+            acc += c
+            cdf.append(acc / total)
+        cdfs.append(cdf)
+    gaps = [max(abs(a - b) for a, b in zip(cdfs[i], cdfs[j]))
+            for i in range(len(cdfs)) for j in range(i + 1, len(cdfs))]
+    return sum(gaps) / len(gaps) if gaps else 0.0

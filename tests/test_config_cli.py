@@ -120,6 +120,15 @@ class TestCliTrain:
         doc = json.loads((tmp_path / "run" / "report.json").read_text())
         assert doc["config"]["seed"] == 9
 
+    def test_negative_seed_override_is_one_error_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_doc())
+        code = main(["train", "--config", cfg, "--seed", "-1",
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed" in err
+        assert "\n" not in err.strip("\n")
+
     def test_missing_out_dir_is_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_doc())
         code = main(["train", "--config", cfg])

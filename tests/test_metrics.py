@@ -5,6 +5,9 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fedconv import autodiff as ad
 from fedconv.autodiff import Tensor
@@ -104,6 +107,36 @@ class TestCheckpoint:
         for name, arr in entries.items():
             assert loaded[name].dtype == arr.dtype
             assert np.array_equal(loaded[name], arr), name
+
+    @pytest.mark.parametrize("position", ["last", "before_another"])
+    def test_zero_size_entry_round_trips(self, tmp_path, position):
+        empty = ("opt.empty", np.zeros((0, 3), dtype=np.float32))
+        full = ("model.w", np.arange(3.0))
+        entries = OrderedDict([full, empty] if position == "last" else [empty, full])
+        save_checkpoint(entries, tmp_path / "ckpt")
+        loaded = load_checkpoint(tmp_path / "ckpt")
+        assert list(loaded) == list(entries)
+        for name, arr in entries.items():
+            assert loaded[name].dtype == arr.dtype
+            assert loaded[name].shape == arr.shape
+            assert np.array_equal(loaded[name], arr), name
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(arrays=st.lists(
+        st.sampled_from([np.float32, np.float64, np.int64]).flatmap(
+            lambda dt: hnp.arrays(dt, hnp.array_shapes(min_dims=0, max_dims=4,
+                                                       min_side=0, max_side=3))),
+        min_size=1, max_size=4))
+    def test_round_trip_any_shape_and_dtype_bitwise(self, tmp_path, arrays):
+        entries = OrderedDict((f"e{i}", a) for i, a in enumerate(arrays))
+        save_checkpoint(entries, tmp_path / "ckpt")
+        loaded = load_checkpoint(tmp_path / "ckpt")
+        assert list(loaded) == list(entries)
+        for name, arr in entries.items():
+            assert loaded[name].dtype == arr.dtype
+            assert loaded[name].shape == arr.shape
+            assert loaded[name].tobytes() == arr.tobytes(), name
 
     def test_truncated_blob_rejected(self, tmp_path):
         save_checkpoint(self.entries(), tmp_path / "ckpt")

@@ -1,0 +1,65 @@
+"""The benchmark tracer's contract with the package.
+
+`bench/tracer.py` wraps functions of `fedconv.*` by module attribute name
+(`fedconv.federated.mean_pairwise_ks`, `fedconv.autodiff.activation`, ...).
+Renaming or deleting one of them, or calling it other than through its
+module, breaks every traced benchmark run; this test fails instead. A traced
+run must also write the same report.json as an untraced one.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import fedconv.autodiff as ad
+import fedconv.cli as cli
+import fedconv.federated as fed
+
+from test_config_cli import base_doc, write_config
+
+TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+
+CORE_SPANS = {
+    "autodiff.conv2d_dw.fwd", "autodiff.conv2d_dw.bwd",
+    "autodiff.conv2d_pw.fwd", "autodiff.conv2d_pw.bwd",
+    "autodiff.conv2d_dense.fwd", "autodiff.conv2d_dense.bwd",
+    "autodiff.act.fwd", "autodiff.act.bwd",
+    "autodiff.pool.fwd", "autodiff.other.fwd", "autodiff.backward",
+    "models.forward", "models.layer", "optim.step", "optim.zero_grad",
+    "data.synth", "data.partition", "data.to_input",
+    "federated.round", "federated.local_update", "federated.train_epochs",
+    "federated.aggregate", "reporting.evaluate", "reporting.write_report",
+    "reporting.checkpoint",
+}
+
+
+def _tracer_module():
+    spec = importlib.util.spec_from_file_location("fedconv_bench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_train_records_core_spans_and_same_report(tmp_path):
+    cfg = write_config(tmp_path, base_doc())
+    argv = ["train", "--config", cfg, "--threads", "2", "--out"]
+    assert cli.main(argv + [str(tmp_path / "plain")]) == 0
+
+    originals = (ad.activation, ad.conv2d, fed.mean_pairwise_ks,
+                 fed.partition_iid, fed.run_round, cli.save_checkpoint)
+    tracer = _tracer_module().Tracer("contract")
+    tracer.install()
+    try:
+        rc = cli.main(argv + [str(tmp_path / "traced")])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    assert (ad.activation, ad.conv2d, fed.mean_pairwise_ks, fed.partition_iid,
+            fed.run_round, cli.save_checkpoint) == originals
+
+    missing = CORE_SPANS - {span[1] for span in tracer.spans}
+    assert not missing, sorted(missing)
+    metrics = tracer.summary()["metrics"]
+    assert metrics["autodiff.conv2d_dw.calls"] > 0
+    assert metrics["data.partition_s"] > 0
+    assert ((tmp_path / "traced" / "report.json").read_bytes()
+            == (tmp_path / "plain" / "report.json").read_bytes())
