@@ -403,13 +403,14 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
 def maxpool2d(x: Tensor, k: int, stride: int, padding: int = 0) -> Tensor:
     """Max pooling; the subgradient routes to the first (lowest linear index)
-    maximal element of each window."""
+    maximal element of each window. Forward is a running maximum over the
+    k*k strided tap views of the (-inf) padded input."""
     xd = x.data
     if xd.ndim != 4:
         raise ShapeError("maxpool2d expects NCHW input")
     if k < 1 or stride < 1 or padding < 0:
         raise ShapeError("maxpool2d: k >= 1 and stride >= 1 required")
-    n, c, h, w = xd.shape
+    h, w = xd.shape[2:]
     hout = (h + 2 * padding - k) // stride + 1
     wout = (w + 2 * padding - k) // stride + 1
     if hout < 1 or wout < 1:
@@ -419,19 +420,31 @@ def maxpool2d(x: Tensor, k: int, stride: int, padding: int = 0) -> Tensor:
         xp = np.pad(xd, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=-np.inf)
     else:
         xp = xd
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    flat = win.reshape(n, c, hout, wout, k * k)
-    arg = flat.argmax(axis=-1)
-    out_data = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-    out, track = _result(np.ascontiguousarray(out_data), (x,), "maxpool2d")
+    # Tap t = i * k + j reads window pixel (i, j) of every output position.
+    taps = [(slice(None), slice(None),
+             slice(i, i + stride * (hout - 1) + 1, stride),
+             slice(j, j + stride * (wout - 1) + 1, stride))
+            for i in range(k) for j in range(k)]
+    out_data = xp[taps[0]].copy()
+    for tap in taps[1:]:
+        np.maximum(out_data, xp[tap], out=out_data)
+    out, track = _result(out_data, (x,), "maxpool2d")
     if track:
         def _bwd():
-            ys = arg // k + (np.arange(hout) * stride).reshape(1, 1, hout, 1)
-            xs = arg % k + (np.arange(wout) * stride).reshape(1, 1, 1, wout)
-            ni = np.arange(n).reshape(n, 1, 1, 1)
-            ci = np.arange(c).reshape(1, c, 1, 1)
-            gxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=xd.dtype)
-            np.add.at(gxp, (ni, ci, ys, xs), out.grad)
+            # firsts[t] marks the windows whose first maximal tap is t.
+            unclaimed = np.ones(out_data.shape, dtype=bool)
+            firsts = []
+            for tap in taps:
+                first = xp[tap] == out_data
+                first &= unclaimed
+                unclaimed ^= first
+                firsts.append(first)
+            # Descending taps visit each pixel's windows in ascending window
+            # order, the summation order of a scatter-add; a window that
+            # routes elsewhere adds a signed zero, which changes no sum.
+            gxp = np.zeros(xp.shape, dtype=xd.dtype)
+            for t in range(k * k - 1, -1, -1):
+                gxp[taps[t]] += out.grad * firsts[t]
             _accum(x, gxp[:, :, p:p + h, p:p + w])
         out._backward = _bwd
     return out
@@ -562,24 +575,26 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(pos, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
-def _unary(x: Tensor, out_data: np.ndarray, dfdx: np.ndarray, op: str) -> Tensor:
+def _unary(x: Tensor, out_data: np.ndarray, dfdx, op: str) -> Tensor:
+    """Elementwise op; `dfdx()` forms the derivative array, and only the
+    backward pass of a tracked op calls it."""
     out, track = _result(out_data, (x,), op)
     if track:
         def _bwd():
-            _accum(x, out.grad * dfdx)
+            _accum(x, out.grad * dfdx())
         out._backward = _bwd
     return out
 
 
 def relu(x: Tensor) -> Tensor:
     xd = x.data
-    return _unary(x, np.maximum(xd, 0), (xd > 0).astype(xd.dtype), "relu")
+    return _unary(x, np.maximum(xd, 0), lambda: (xd > 0).astype(xd.dtype), "relu")
 
 
 def leaky_relu(x: Tensor, alpha: float = 0.01) -> Tensor:
     xd = x.data
     return _unary(x, np.where(xd > 0, xd, alpha * xd),
-                  np.where(xd > 0, 1.0, alpha).astype(xd.dtype), "lrelu")
+                  lambda: np.where(xd > 0, 1.0, alpha).astype(xd.dtype), "lrelu")
 
 
 def prelu(x: Tensor, alpha: Tensor) -> Tensor:
@@ -608,21 +623,23 @@ def prelu(x: Tensor, alpha: Tensor) -> Tensor:
 
 def softplus(x: Tensor) -> Tensor:
     xd = x.data
-    return _unary(x, np.logaddexp(0.0, xd).astype(xd.dtype), _sigmoid(xd), "softplus")
+    return _unary(x, np.logaddexp(0.0, xd).astype(xd.dtype),
+                  lambda: _sigmoid(xd), "softplus")
 
 
 def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian-CDF form: x * Phi(x)."""
     xd = x.data
     phi_cdf = 0.5 * (1.0 + erf(xd / _SQRT2))
-    pdf = _INV_SQRT_2PI * np.exp(-0.5 * xd * xd)
-    return _unary(x, xd * phi_cdf, phi_cdf + xd * pdf, "gelu")
+    return _unary(x, xd * phi_cdf,
+                  lambda: phi_cdf + xd * (_INV_SQRT_2PI * np.exp(-0.5 * xd * xd)),
+                  "gelu")
 
 
 def silu(x: Tensor) -> Tensor:
     xd = x.data
     s = _sigmoid(xd)
-    return _unary(x, xd * s, s * (1.0 + xd * (1.0 - s)), "silu")
+    return _unary(x, xd * s, lambda: s * (1.0 + xd * (1.0 - s)), "silu")
 
 
 def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
@@ -630,7 +647,7 @@ def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
     # exp only on the clamped branch so large positives cannot overflow.
     en = np.exp(np.minimum(xd, 0.0))
     return _unary(x, np.where(xd > 0, xd, alpha * (en - 1.0)),
-                  np.where(xd > 0, 1.0, alpha * en).astype(xd.dtype), "elu")
+                  lambda: np.where(xd > 0, 1.0, alpha * en).astype(xd.dtype), "elu")
 
 
 _FIXED_ACTIVATIONS = {"relu": relu, "lrelu": leaky_relu, "softplus": softplus,

@@ -1,10 +1,16 @@
 """Federated orchestration: clients, the round loop, and aggregation rules.
 
 Simulation is in-process: a round broadcasts the global state, runs every
-participating client's local update (optionally on a thread pool; each client
-owns its model, optimizer, and rng, so scheduling cannot change results),
-aggregates in ascending client-id order, and evaluates the global model on a
-held-out test set.
+participating client's local update (optionally on a thread pool), aggregates
+in ascending client-id order, and evaluates the global model on a held-out
+test set.
+
+A client is state, not a model: its optimizer moments, data-order rng, step
+count and, under fedbn, its own batch-norm entries. A run keeps
+min(threads, clients) worker models; each local update loads the broadcast
+state and the client's local entries into a free worker, so every parameter
+and buffer is overwritten before training and the worker a client lands on
+cannot change results.
 
 Client optimizer state persists across rounds and is never aggregated or
 reset. Any object exposing the small model surface used here (forward,
@@ -16,6 +22,7 @@ toy models testable.
 from __future__ import annotations
 
 import math
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -68,17 +75,18 @@ class FLMethodConfig:
 
 
 class ClientState:
-    """One simulated client. Optimizer state and the data-order rng persist
-    across rounds; the sample count is the index-list length (shared-pool
-    entries included under the share method)."""
+    """One simulated client. Optimizer state, the data-order rng and the
+    `local` entries (a fedbn client's own batch-norm state) persist across
+    rounds; the sample count is the index-list length (shared-pool entries
+    included under the share method)."""
 
-    def __init__(self, client_id: int, indices, model, optimizer,
-                 rng: np.random.Generator):
+    def __init__(self, client_id: int, indices, optimizer,
+                 rng: np.random.Generator, local: dict | None = None):
         self.id = client_id
         self.indices = np.asarray(indices, dtype=np.int64)
-        self.model = model
         self.optimizer = optimizer
         self.rng = rng
+        self.local = local if local is not None else {}
         self.step_count = 0
 
     @property
@@ -131,34 +139,29 @@ def train_epochs(model, optimizer, dataset: Dataset, indices, rng, *,
     return step_count, loss_sum / seen
 
 
-def _load_state_partial(model, state: dict, skip: set[str]) -> None:
-    for name, p in model.named_parameters().items():
-        if name not in skip:
-            p.data[...] = state[name]
-    for name, buf in model.named_buffers().items():
-        if name not in skip:
-            buf[...] = state[name]
-
-
-def local_update(client: ClientState, global_state: dict, *, method: FLMethodConfig,
-                 dataset: Dataset, epochs: int, batch_size: int,
-                 schedule: LrSchedule, agc_cfg: AGCConfig | None,
-                 dtype=np.float32):
-    """One client's round: load the broadcast state (batch-norm entries stay
-    local under fedbn), train with the persistent optimizer, return the final
-    local state and sample count."""
+def local_update(client: ClientState, model, global_state: dict, *,
+                 method: FLMethodConfig, dataset: Dataset, epochs: int,
+                 batch_size: int, schedule: LrSchedule,
+                 agc_cfg: AGCConfig | None, dtype=np.float32):
+    """One client's round on a worker `model`: load the broadcast state with
+    the client's local entries over it, train with the persistent optimizer,
+    store the local entries back, and return the final state and sample
+    count."""
     if client.n_k == 0:
         raise DataError(f"client {client.id} has an empty dataset")
-    skip = client.model.bn_param_names() if method.name == "fedbn" else set()
-    _load_state_partial(client.model, global_state, skip)
+    model.load_state_dict({**global_state, **client.local})
+    client.optimizer.params = model.named_parameters()
     prox = None
     if method.name == "fedprox" and method.mu != 0.0:
         prox = (method.mu, global_state)
     client.step_count, mean_loss = train_epochs(
-        client.model, client.optimizer, dataset, client.indices, client.rng,
+        model, client.optimizer, dataset, client.indices, client.rng,
         epochs=epochs, batch_size=batch_size, schedule=schedule,
         agc_cfg=agc_cfg, prox=prox, step_count=client.step_count, dtype=dtype)
-    return client.id, client.model.state_dict(), client.n_k, mean_loss
+    state = model.state_dict()
+    for name, value in client.local.items():
+        value[...] = state[name]
+    return client.id, state, client.n_k, mean_loss
 
 
 # ---------------------------------------------------------------------------
@@ -230,17 +233,27 @@ def yogi_server_step(yogi: YogiState, global_state: dict, results,
 # ---------------------------------------------------------------------------
 
 def run_round(global_model: Network, global_state: dict, yogi, clients, *,
-              method: FLMethodConfig, dataset: Dataset, test_set: Dataset,
-              round_idx: int, epochs: int, batch_size: int,
+              workers, method: FLMethodConfig, dataset: Dataset,
+              test_set: Dataset, round_idx: int, epochs: int, batch_size: int,
               schedule: LrSchedule, agc_cfg: AGCConfig | None, dtype,
               threads: int = 1, all_client_sizes=None):
-    """Broadcast -> parallel local updates -> aggregate -> evaluate."""
+    """Broadcast -> parallel local updates -> aggregate -> evaluate. Each
+    local update borrows one of the `workers` models (at least
+    min(threads, len(clients)) of them) and returns it when done."""
+    free = queue.SimpleQueue()
+    for model in workers:
+        free.put(model)
     with StopWatch() as sw:
         def one(client):
-            return local_update(client, global_state, method=method,
-                                dataset=dataset, epochs=epochs,
-                                batch_size=batch_size, schedule=schedule,
-                                agc_cfg=agc_cfg, dtype=dtype)
+            model = free.get()
+            try:
+                return local_update(client, model, global_state,
+                                    method=method, dataset=dataset,
+                                    epochs=epochs, batch_size=batch_size,
+                                    schedule=schedule, agc_cfg=agc_cfg,
+                                    dtype=dtype)
+            finally:
+                free.put(model)
 
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -335,13 +348,18 @@ def run_federated(exp, threads: int = 1, round_checkpoint=None,
     yogi = (YogiState(trainable, global_state, method.tau)
             if method.name == "fedyogi" else None)
 
-    clients = []
-    for cid in sorted(partition):
-        model = Network(exp.arch, dtype)
-        clients.append(ClientState(
-            cid, partition[cid], model,
-            _make_optimizer(exp.optimizer, model.named_parameters()),
-            np.random.default_rng([exp.seed, 101, cid])))
+    # Every Network of a config has the same registry, so the global one
+    # shapes each client's optimizer; local_update rebinds it to a worker.
+    # The initial global BN entries are a fresh Network's defaults.
+    bn = global_model.bn_param_names() if method.name == "fedbn" else set()
+    clients = [
+        ClientState(cid, partition[cid],
+                    _make_optimizer(exp.optimizer, global_model.named_parameters()),
+                    np.random.default_rng([exp.seed, 101, cid]),
+                    {n: v.copy() for n, v in global_state.items() if n in bn})
+        for cid in sorted(partition)]
+    workers = [Network(exp.arch, dtype)
+               for _ in range(max(1, min(threads, len(clients))))]
     sizes = [c.n_k for c in clients]
     schedule = _make_schedule(exp.optimizer, method)
 
@@ -360,8 +378,8 @@ def run_federated(exp, threads: int = 1, round_checkpoint=None,
         else:
             participating = clients
         global_state, record = run_round(
-            global_model, global_state, yogi, participating, method=method,
-            dataset=train, test_set=test, round_idx=r,
+            global_model, global_state, yogi, participating, workers=workers,
+            method=method, dataset=train, test_set=test, round_idx=r,
             epochs=exp.fl.local_epochs, batch_size=exp.fl.batch_size,
             schedule=schedule, agc_cfg=exp.optimizer.agc, dtype=dtype,
             threads=threads, all_client_sizes=sizes)

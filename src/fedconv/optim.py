@@ -54,29 +54,29 @@ def unitwise_norm(a: np.ndarray) -> np.ndarray:
     raise ValueError(f"no unit-wise norm rule for ndim={a.ndim}")
 
 
+def _agc_factor(p: np.ndarray, g: np.ndarray, cfg: AGCConfig) -> np.ndarray:
+    """Per-unit factor AGC scales the gradient by: limit / ||g_i|| where
+    ||g_i|| exceeds limit = clipping * max(||w_i||, eps), else exactly 1."""
+    wn = np.maximum(unitwise_norm(p), cfg.eps)
+    gn = unitwise_norm(g)
+    limit = cfg.clipping * wn
+    return np.where(gn > limit, limit / np.maximum(gn, 1e-30), 1)
+
+
 def agc_clip(params, grads, cfg: AGCConfig) -> list[np.ndarray]:
     """Adaptive gradient clipping: per unit i, scale g_i down whenever
     ||g_i|| / max(||w_i||, eps) exceeds the clipping factor. Inputs are left
     untouched; clipped copies are returned."""
-    out = []
-    for p, g in zip(params, grads):
-        wn = np.maximum(unitwise_norm(p), cfg.eps)
-        gn = unitwise_norm(g)
-        limit = cfg.clipping * wn
-        scale = limit / np.maximum(gn, 1e-30)
-        out.append(np.where(gn > limit, g * scale, g))
-    return out
+    return [g * _agc_factor(p, g, cfg) for p, g in zip(params, grads)]
 
 
 def clip_model_grads(named_params: "OrderedDict[str, Tensor]", cfg: AGCConfig,
                      exclude: set[str] = frozenset()) -> None:
     """Apply AGC in place to every parameter gradient except the excluded
     names (typically the classifier head)."""
-    names = [n for n in named_params if n not in exclude]
-    tensors = [named_params[n] for n in names]
-    clipped = agc_clip([t.data for t in tensors], [t.grad for t in tensors], cfg)
-    for t, g in zip(tensors, clipped):
-        t.grad = g
+    for name, t in named_params.items():
+        if name not in exclude:
+            t.grad *= _agc_factor(t.data, t.grad, cfg)
 
 
 class AdamW:

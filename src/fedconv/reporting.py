@@ -138,8 +138,13 @@ def load_checkpoint(stem) -> dict[str, np.ndarray]:
         name, tag, shape_s, offset_s = parts
         if tag not in _TAG_TO_NP:
             raise CheckpointError(f"manifest line {lineno}: unknown dtype tag {tag!r}")
-        shape = () if shape_s == "scalar" else tuple(int(d) for d in shape_s.split(","))
-        offset = int(offset_s)
+        try:
+            shape = () if shape_s == "scalar" else tuple(int(d) for d in shape_s.split(","))
+            offset = int(offset_s)
+        except ValueError:
+            raise CheckpointError(f"manifest line {lineno}: malformed shape or offset") from None
+        if any(d < 0 for d in shape):
+            raise CheckpointError(f"manifest line {lineno}: negative dimension in {shape_s!r}")
         if offset != expected:
             raise CheckpointError(f"manifest line {lineno}: non-contiguous offset")
         dt = np.dtype(_TAG_TO_NP[tag])

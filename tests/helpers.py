@@ -59,6 +59,33 @@ def loop_conv2d(x, w, b=None, stride=1, padding=0, groups=1):
     return out
 
 
+def loop_maxpool2d(x, g, k, stride, padding):
+    """Max pooling by loops over windows and their pixels in row-major order.
+    Returns the pooled values and the input gradient for output gradient
+    `g`: each window sends its gradient to its first maximal real pixel
+    (padding never wins), and a pixel sums its windows in window order."""
+    n, c, h, w = x.shape
+    hout = (h + 2 * padding - k) // stride + 1
+    wout = (w + 2 * padding - k) // stride + 1
+    out = np.zeros((n, c, hout, wout), dtype=x.dtype)
+    gx = np.zeros_like(x)
+    for ni in range(n):
+        for ci in range(c):
+            for oy in range(hout):
+                for ox in range(wout):
+                    best = None
+                    for i in range(k):
+                        for j in range(k):
+                            y = oy * stride + i - padding
+                            xx = ox * stride + j - padding
+                            if 0 <= y < h and 0 <= xx < w and (
+                                    best is None or x[ni, ci, y, xx] > x[ni, ci][best]):
+                                best = (y, xx)
+                    out[ni, ci, oy, ox] = x[ni, ci][best]
+                    gx[ni, ci][best] += g[ni, ci, oy, ox]
+    return out, gx
+
+
 def enumerate_conv_macs(cout, cin_g, k, hout, wout):
     """Literal per-output-element multiply-accumulate count."""
     count = 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fedconv import autodiff as ad
+from fedconv import federated as fed
 from fedconv.autodiff import NumericsError, Tensor
 from fedconv.config import parse_experiment
 from fedconv.data import DataError, synth_dataset, to_input
@@ -13,6 +14,7 @@ from fedconv.federated import (ClientState, FLMethodConfig, YogiState,
                                aggregate_fedavg, aggregate_fedbn,
                                apply_prox_grads, central_train, local_update,
                                run_federated, train_epochs, yogi_server_step)
+from fedconv.models import Network
 from fedconv.optim import LrSchedule, SGD
 
 
@@ -225,17 +227,17 @@ class TestLocalUpdate:
     def make_client(self, dataset, indices, lr_momentum=0.0, seed=0):
         model = ToyModel()
         opt = SGD(model.named_parameters(), momentum=lr_momentum)
-        return ClientState(0, indices, model, opt, np.random.default_rng([seed, 101, 0]))
+        return ClientState(0, indices, opt, np.random.default_rng([seed, 101, 0])), model
 
     def test_full_batch_sgd_matches_hand_gradient(self):
         ds = synth_dataset(0, 2, 8, 32)
         idx = np.arange(len(ds))
-        client = self.make_client(ds, idx)
+        client, model = self.make_client(ds, idx)
         w0 = np.zeros((2, 3))
         global_state = {"head.weight": w0.copy()}
         gamma = 0.5
         _, state, nk, _ = local_update(
-            client, global_state, method=FLMethodConfig("fedavg"), dataset=ds,
+            client, model, global_state, method=FLMethodConfig("fedavg"), dataset=ds,
             epochs=1, batch_size=len(idx), schedule=flat_schedule(gamma),
             agc_cfg=None, dtype=np.float64)
         # hand gradient of mean cross-entropy for the linear probe
@@ -259,9 +261,9 @@ class TestLocalUpdate:
         idx = np.arange(len(ds))
 
         def run(method):
-            client = self.make_client(ds, idx, seed=3)
+            client, model = self.make_client(ds, idx, seed=3)
             _, state, _, _ = local_update(
-                client, {"head.weight": np.zeros((2, 3))}, method=method,
+                client, model, {"head.weight": np.zeros((2, 3))}, method=method,
                 dataset=ds, epochs=2, batch_size=8,
                 schedule=flat_schedule(0.3), agc_cfg=None, dtype=np.float64)
             return state["head.weight"]
@@ -275,9 +277,9 @@ class TestLocalUpdate:
         idx = np.arange(len(ds))
 
         def run(mu):
-            client = self.make_client(ds, idx, seed=4)
+            client, model = self.make_client(ds, idx, seed=4)
             _, state, _, _ = local_update(
-                client, {"head.weight": np.zeros((2, 3))},
+                client, model, {"head.weight": np.zeros((2, 3))},
                 method=FLMethodConfig("fedprox", mu=mu), dataset=ds,
                 epochs=8, batch_size=len(idx), schedule=flat_schedule(0.2),
                 agc_cfg=None, dtype=np.float64)
@@ -287,9 +289,9 @@ class TestLocalUpdate:
 
     def test_empty_client_rejected(self):
         ds = synth_dataset(3, 2, 4, 32)
-        client = self.make_client(ds, np.array([], dtype=np.int64))
+        client, model = self.make_client(ds, np.array([], dtype=np.int64))
         with pytest.raises(DataError, match="empty"):
-            local_update(client, {"head.weight": np.zeros((2, 3))},
+            local_update(client, model, {"head.weight": np.zeros((2, 3))},
                          method=FLMethodConfig("fedavg"), dataset=ds, epochs=1,
                          batch_size=4, schedule=flat_schedule(), agc_cfg=None)
 
@@ -359,10 +361,45 @@ class TestRunFederated:
             if name.endswith("running_mean"):
                 np.testing.assert_array_equal(state[name], np.zeros_like(state[name]))
         # clients trained, so their local BN stats moved
-        client_state = capture["clients"][0].model.state_dict()
+        client_state = capture["clients"][0].local
         moved = any(not np.allclose(client_state[n], state[n])
                     for n in bn_names if n.endswith("running_mean"))
         assert moved
+
+    def test_worker_count_does_not_change_results(self):
+        # fedbn + BN keeps client-local entries; sampling 3 of 4 clients per
+        # round puts clients on different workers from round to round.
+        over = {
+            "arch.norm_kind": "bn", "arch.norm_placement": "all",
+            "fl.method": {"name": "fedbn"}, "fl.rounds": 3,
+            "fl.clients_per_round": 3, "data.num_clients": 4,
+        }
+        runs = []
+        for threads in (1, 3):
+            capture = {}
+            _, states = collect_states(toy_experiment(**over), threads=threads,
+                                       capture=capture)
+            runs.append((states, capture["clients"]))
+        (states1, clients1), (states3, clients3) = runs
+        assert_states_equal(states1, states3, bitwise=True)
+        assert clients1[0].local
+        for a, b in zip(clients1, clients3):
+            assert a.local.keys() == b.local.keys()
+            for name in a.local:
+                assert a.local[name].tobytes() == b.local[name].tobytes(), (a.id, name)
+
+    @pytest.mark.parametrize("threads", [1, 2, 5])
+    def test_builds_one_network_per_worker_plus_global(self, threads, monkeypatch):
+        built = []
+
+        def counting_network(*args, **kwargs):
+            built.append(1)
+            return Network(*args, **kwargs)
+
+        monkeypatch.setattr(fed, "Network", counting_network)
+        run_federated(toy_experiment(**{"data.num_clients": 3, "fl.rounds": 1}),
+                      threads=threads)
+        assert len(built) == min(threads, 3) + 1
 
     def test_share_method_runs_and_grows_clients(self):
         over = {"fl.method": {"name": "share", "fraction": 0.25}, "fl.rounds": 1}

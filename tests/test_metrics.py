@@ -152,6 +152,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="dtype"):
             load_checkpoint(tmp_path / "ckpt")
 
+    @pytest.mark.parametrize("shape, offset", [("-2,-3", "0"), ("2,x", "0"),
+                                               ("2,3", "zero")])
+    def test_malformed_manifest_fields_rejected(self, tmp_path, shape, offset):
+        # -2,-3 multiplies to the blob's 6 elements, so only a sign check
+        # keeps it from reaching reshape.
+        (tmp_path / "ckpt.manifest").write_text(f"w\tf32\t{shape}\t{offset}\n")
+        (tmp_path / "ckpt.blob").write_bytes(bytes(24))
+        with pytest.raises(CheckpointError, match="manifest line 1"):
+            load_checkpoint(tmp_path / "ckpt")
+
     def test_unsupported_save_dtype(self, tmp_path):
         with pytest.raises(CheckpointError, match="dtype"):
             save_checkpoint({"x": np.zeros(2, dtype=np.float16)}, tmp_path / "c")

@@ -1,11 +1,13 @@
 """Forward values and backward bookkeeping of the autodiff ops."""
 
 import gc
+import math
 import threading
 import weakref
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from fedconv import autodiff as ad
 from fedconv.autodiff import Tensor
@@ -265,6 +267,32 @@ class TestActivations:
         x = np.linspace(-4, 4, 41)
         out = ad.gelu(t(x.reshape(1, -1)))
         np.testing.assert_allclose(out.data.ravel(), x * norm.cdf(x), atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["relu", "lrelu", "softplus", "gelu",
+                                      "silu", "elu"])
+    def test_gradient_is_closed_form_derivative(self, kind, dtype):
+        # With a unit output gradient, backward returns the derivative array
+        # itself, so it must equal the closed form bit for bit.
+        x = np.random.default_rng(7).standard_normal((3, 4, 5, 5)).astype(dtype) * 4
+        x[0, 0, 0, :3] = (0.0, 40.0, -40.0)
+        pos = x >= 0
+        ez = np.exp(np.where(pos, -x, x))
+        sig = np.where(pos, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+        phi = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+        want = {
+            "relu": (x > 0).astype(dtype),
+            "lrelu": np.where(x > 0, 1.0, 0.01).astype(dtype),
+            "softplus": sig,
+            "gelu": phi + x * (1.0 / math.sqrt(2.0 * math.pi)
+                               * np.exp(-0.5 * x * x)),
+            "silu": sig * (1.0 + x * (1.0 - sig)),
+            "elu": np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0))).astype(dtype),
+        }[kind]
+        xt = t(x, grad=True, dtype=dtype)
+        ad.weighted_sum(ad.activation(kind, xt), np.ones(x.shape)).backward()
+        assert xt.grad.dtype == want.dtype == dtype
+        assert xt.grad.tobytes() == want.tobytes()
 
     def test_prelu_learns_per_channel(self):
         x = t(np.array([[[[-2.0]], [[-2.0]]]]), grad=True)
