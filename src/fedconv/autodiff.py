@@ -25,8 +25,8 @@ import math
 import threading
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import erf
+from numpy.lib.stride_tricks import as_strided
+from scipy.special import erf, expit
 
 __all__ = [
     "Tensor",
@@ -231,53 +231,45 @@ def _axis(size: int, k: int, before: int, after: int, s: int):
     return out, lo, hi, start, start + (out - 1) * s + hi - lo
 
 
-def _slab(xd: np.ndarray, h0: int, h1: int, w0: int, w1: int) -> np.ndarray:
-    """xd[:, :, h0:h1, w0:w1], reading zeros where the range leaves the array."""
-    h, w = xd.shape[2:]
-    core = xd[:, :, max(h0, 0):min(h1, h), max(w0, 0):min(w1, w)]
-    pad = (max(-h0, 0), max(h1 - h, 0), max(-w0, 0), max(w1 - w, 0))
-    if not any(pad):
-        return core
-    return np.pad(core, ((0, 0), (0, 0), pad[:2], pad[2:]))
+def _slab(xt: np.ndarray, h0: int, h1: int, w0: int, w1: int) -> np.ndarray:
+    """Contiguous xt[:, h0:h1, w0:w1] of a (C, H, W, N) array, reading zeros
+    where the range leaves the array; transposing views are copied once."""
+    c, h, w, n = xt.shape
+    a0, a1, b0, b1 = max(h0, 0), min(h1, h), max(w0, 0), min(w1, w)
+    core = xt[:, a0:a1, b0:b1]
+    if (a0, a1, b0, b1) == (h0, h1, w0, w1):
+        return np.ascontiguousarray(core)
+    xs = np.zeros((c, h1 - h0, w1 - w0, n), dtype=xt.dtype)
+    xs[:, a0 - h0:a1 - h0, b0 - w0:b1 - w0] = core
+    return xs
 
 
-def _unslab(gs: np.ndarray, h: int, w: int, h0: int, w0: int) -> np.ndarray:
-    """Adjoint of `_slab`: the (h, w) input's share of a slab gradient."""
-    a0, a1 = max(h0, 0), min(h0 + gs.shape[2], h)
-    b0, b1 = max(w0, 0), min(w0 + gs.shape[3], w)
-    part = gs[:, :, a0 - h0:a1 - h0, b0 - w0:b1 - w0]
-    if part.shape[2:] == (h, w):
-        return part
-    gx = np.zeros(gs.shape[:2] + (h, w), dtype=gs.dtype)
-    gx[:, :, a0:a1, b0:b1] = part
-    return gx
-
-
-def _correlate(xd: np.ndarray, wd: np.ndarray, stride: int, pad_h: tuple,
+def _correlate(xt: np.ndarray, wd: np.ndarray, stride: int, pad_h: tuple,
                pad_w: tuple, groups: int):
-    """Grouped cross-correlation of raw NCHW and OIHW arrays on the live taps.
+    """Grouped cross-correlation of a (C, H, W, N) input with an OIHW kernel
+    on the live taps.
 
     `pad_h` and `pad_w` are (before, after) zero padding per axis; negative
-    amounts crop. Returns the output, the column matrix (N, groups,
-    Cin/groups * kh * kw, Hout * Wout) over the live taps, and the geometry
-    `(hout, wout, th, tw, ih, iw)`: live tap ranges `th`/`tw` and input
-    ranges `ih`/`iw` as (start, stop) pairs.
+    amounts crop. The batch is the innermost axis throughout, so each group
+    is one GEMM. Returns the (Cout, Hout, Wout, N) output, the column matrix
+    (groups, Cin/groups * kh * kw, Hout * Wout * N) over the live taps, and
+    the geometry `(hout, wout, th, tw, ih, iw)`: live tap ranges `th`/`tw`
+    and input ranges `ih`/`iw` as (start, stop) pairs.
     """
-    n, cin, h, w = xd.shape
+    cin, h, w, n = xt.shape
     cout, cin_g, kh, kw = wd.shape
     hout, th0, th1, ih0, ih1 = _axis(h, kh, *pad_h, stride)
     wout, tw0, tw1, iw0, iw1 = _axis(w, kw, *pad_w, stride)
     kh, kw = th1 - th0, tw1 - tw0
-    if kh == kw == 1 and stride == 1 and (ih0, ih1, iw0, iw1) == (0, h, 0, w):
-        # A 1x1 window over the whole input: the input is the column matrix.
-        cols = xd.reshape(n, groups, cin_g, h * w)
-    else:
-        xs = _slab(xd, ih0, ih1, iw0, iw1)
-        win = sliding_window_view(xs, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-        cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(
-            n, groups, cin_g * kh * kw, hout * wout)
+    xs = _slab(xt, ih0, ih1, iw0, iw1)
+    # The (C, kh, kw, Hout, Wout, N) windows; a 1x1 window over the whole
+    # input is xs itself and copies nothing.
+    sc, sh, sw, sn = xs.strides
+    win = as_strided(xs, (cin, kh, kw, hout, wout, n),
+                     (sc, sh, sw, sh * stride, sw * stride, sn), writeable=False)
+    cols = np.ascontiguousarray(win).reshape(groups, cin_g * kh * kw, hout * wout * n)
     wm = wd[:, :, th0:th1, tw0:tw1].reshape(groups, cout // groups, cin_g * kh * kw)
-    out = np.matmul(wm, cols).reshape(n, cout, hout, wout)
+    out = np.matmul(wm, cols).reshape(cout, hout, wout, n)
     return out, cols, (hout, wout, (th0, th1), (tw0, tw1), (ih0, ih1), (iw0, iw1))
 
 
@@ -288,9 +280,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     ``groups == Cin == Cout`` gives depth-wise convolution. Only the kernel
     taps that can reach a real pixel are computed (a same-padded 9x9 kernel
     on a 2x2 map runs as 3x3); cropped taps get an exactly-zero weight
-    gradient. Forward is im2col over those taps plus one batched matmul per
-    group. Backward forms the weight gradient as one GEMM over batch and
-    space when ``groups == 1`` and per group otherwise; at stride 1 the input
+    gradient. Forward is im2col over those taps of the input transposed to
+    (C, H, W, N), so the batch is innermost and every group is one GEMM over
+    batch and space; so is the weight gradient. At stride 1 the input
     gradient is the forward correlation of the output gradient with the
     flipped, channel-swapped kernel, and at larger strides a scatter of the
     window gradients. The closure holds the column matrix until the one
@@ -316,21 +308,21 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
         raise ShapeError("conv2d: kernel larger than padded input")
 
     p = padding
-    out_data, cols, geom = _correlate(xd, wd, stride, (p, p), (p, p), groups)
+    out_t, cols, geom = _correlate(xd.transpose(1, 2, 3, 0), wd, stride, (p, p),
+                                   (p, p), groups)
     hout, wout, (th0, th1), (tw0, tw1) = geom[:4]
+    out_data = np.ascontiguousarray(out_t.transpose(3, 0, 1, 2))
     if bias is not None:
-        out_data = out_data + bias.data[None, :, None, None]
+        out_data += bias.data[None, :, None, None]
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     out, track = _result(out_data, parents, "conv2d")
     if track:
         def _bwd():
-            g = out.grad.reshape(n, groups, cout // groups, hout * wout)
+            gt = np.ascontiguousarray(out.grad.transpose(1, 2, 3, 0))
             if weight.requires_grad:
-                if groups == 1:
-                    gw = np.tensordot(g[:, 0], cols[:, 0], axes=([0, 2], [0, 2]))
-                else:
-                    gw = np.matmul(g, cols.transpose(0, 1, 3, 2)).sum(axis=0)
+                gw = np.matmul(gt.reshape(groups, cout // groups, -1),
+                               cols.transpose(0, 2, 1))
                 gw = gw.reshape(cout, cin_g, th1 - th0, tw1 - tw0)
                 if gw.shape != wd.shape:
                     full = np.zeros_like(wd)
@@ -340,37 +332,47 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
             if bias is not None and bias.requires_grad:
                 _accum(bias, out.grad.sum(axis=(0, 2, 3)))
             if x.requires_grad:
-                _accum(x, _conv_input_grad(out.grad, wd, stride, p, groups,
-                                           geom, h, w))
+                _accum(x, _conv_input_grad(gt, wd, stride, p, groups, geom, h, w))
         out._backward = _bwd
     return out
 
 
-def _conv_input_grad(g: np.ndarray, wd: np.ndarray, stride: int, p: int,
+def _conv_input_grad(gt: np.ndarray, wd: np.ndarray, stride: int, p: int,
                      groups: int, geom: tuple, h: int, w: int) -> np.ndarray:
-    """Gradient of a conv2d with respect to its (h, w) input, given the
-    output gradient `g` and the forward's `_correlate` geometry."""
-    n, cout = g.shape[:2]
+    """Gradient of a conv2d with respect to its (N, C, h, w) input, given the
+    (Cout, Hout, Wout, N) output gradient `gt` and the forward's
+    `_correlate` geometry."""
+    cout, n = gt.shape[0], gt.shape[3]
     cin_g, k = wd.shape[1], wd.shape[2]
     cin, og = cin_g * groups, cout // groups
     if stride == 1:
-        # Correlate g with the kernel flipped in space and with in/out
-        # channels swapped per group; padding k-1-p < 0 crops g instead.
-        wf = wd.reshape(groups, og, cin_g, k, k).transpose(0, 2, 1, 3, 4)
-        wf = wf.reshape(cin, og, k, k)[:, :, ::-1, ::-1]
+        # Correlate gt with the kernel flipped in space and with in/out
+        # channels swapped per group; padding k-1-p < 0 crops gt instead.
+        # The flip is copied because matmul leaves BLAS for negative strides;
+        # the swap is left to `_correlate`'s reshape, which copies only when
+        # BLAS cannot read the swapped view as a transposed matrix.
+        wf = np.ascontiguousarray(wd[:, :, ::-1, ::-1])
+        wf = wf.reshape(groups, og, cin_g, k, k).transpose(0, 2, 1, 3, 4)
+        wf = wf.reshape(cin, og, k, k)
         q = k - 1 - p
-        return _correlate(g, wf, 1, (q, q), (q, q), groups)[0]
+        gx = _correlate(gt, wf, 1, (q, q), (q, q), groups)[0]
+        return np.ascontiguousarray(gx.transpose(3, 0, 1, 2))
     hout, wout, (th0, th1), (tw0, tw1), (ih0, ih1), (iw0, iw1) = geom
     kh, kw = th1 - th0, tw1 - tw0
     wm = wd[:, :, th0:th1, tw0:tw1].reshape(groups, og, cin_g * kh * kw)
-    gcols = np.matmul(wm.transpose(0, 2, 1), g.reshape(n, groups, og, hout * wout))
-    gcols = gcols.reshape(n, cin, kh, kw, hout, wout)
-    gs = np.zeros((n, cin, ih1 - ih0, iw1 - iw0), dtype=gcols.dtype)
+    gcols = np.matmul(wm.transpose(0, 2, 1), gt.reshape(groups, og, -1))
+    gcols = gcols.reshape(cin, kh, kw, hout, wout, n)
+    gs = np.zeros((cin, ih1 - ih0, iw1 - iw0, n), dtype=gcols.dtype)
     for i in range(kh):
         for j in range(kw):
-            gs[:, :, i:i + stride * hout:stride,
-               j:j + stride * wout:stride] += gcols[:, :, i, j]
-    return _unslab(gs, h, w, ih0, iw0)
+            gs[:, i:i + stride * hout:stride,
+               j:j + stride * wout:stride] += gcols[:, i, j]
+    # The input's share of the slab gradient, back in NCHW.
+    a0, a1, b0, b1 = max(ih0, 0), min(ih1, h), max(iw0, 0), min(iw1, w)
+    gx = np.zeros((n, cin, h, w), dtype=gs.dtype)
+    part = gs[:, a0 - ih0:a1 - ih0, b0 - iw0:b1 - iw0]
+    gx[:, :, a0:a1, b0:b1] = part.transpose(3, 0, 1, 2)
+    return gx
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -568,13 +570,6 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
 # activations
 # ---------------------------------------------------------------------------
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Stable on both tails.
-    pos = z >= 0
-    ez = np.exp(np.where(pos, -z, z))
-    return np.where(pos, 1.0 / (1.0 + ez), ez / (1.0 + ez))
-
-
 def _unary(x: Tensor, out_data: np.ndarray, dfdx, op: str) -> Tensor:
     """Elementwise op; `dfdx()` forms the derivative array, and only the
     backward pass of a tracked op calls it."""
@@ -624,7 +619,7 @@ def prelu(x: Tensor, alpha: Tensor) -> Tensor:
 def softplus(x: Tensor) -> Tensor:
     xd = x.data
     return _unary(x, np.logaddexp(0.0, xd).astype(xd.dtype),
-                  lambda: _sigmoid(xd), "softplus")
+                  lambda: expit(xd), "softplus")
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -638,7 +633,7 @@ def gelu(x: Tensor) -> Tensor:
 
 def silu(x: Tensor) -> Tensor:
     xd = x.data
-    s = _sigmoid(xd)
+    s = expit(xd)
     return _unary(x, xd * s, lambda: s * (1.0 + xd * (1.0 - s)), "silu")
 
 

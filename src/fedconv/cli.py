@@ -19,7 +19,7 @@ from .data import DataError, label_histograms
 from .federated import _build_partition, _load_data, central_train, run_federated
 from .models import ConfigError, Network, calibrate_depths, count_flops, count_params
 from .reporting import (CheckpointError, evaluate, load_checkpoint,
-                        save_checkpoint, write_report)
+                        save_checkpoint, write_atomic, write_report)
 
 _USAGE_ERRORS = (ConfigValidationError, ConfigError, DataError, CheckpointError)
 
@@ -107,8 +107,8 @@ def cmd_partition(args) -> int:
         print(f"client {cid} n={len(partition[cid])} classes: {counts}")
     print(f"mean_ks {ks:.4f}")
     payload = {str(cid): [int(i) for i in idx] for cid, idx in partition.items()}
-    (out_dir / "partition.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_atomic(out_dir / "partition.json",
+                 (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     return 0
 
 
@@ -147,7 +147,7 @@ def cmd_sweep(args) -> int:
     for value, final, best, rtt, tms_v in rows:
         lines.append(f"{value},{final!r},{best!r},"
                      f"{'' if rtt is None else rtt},{'' if tms_v is None else tms_v}")
-    (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(out_dir / "sweep.csv", ("\n".join(lines) + "\n").encode("utf-8"))
     return 0
 
 

@@ -250,7 +250,7 @@ def partition_label_skew(dataset: Dataset, num_clients: int, target_ks: float,
 
     props = props_at(beta)
     rng = np.random.default_rng([seed, 29])
-    out: dict[int, list] = {cid: [] for cid in range(num_clients)}
+    order, owner = [], []
     for k in range(c):
         idx = np.flatnonzero(dataset.labels == k)
         idx = idx[rng.permutation(len(idx))]
@@ -260,13 +260,12 @@ def partition_label_skew(dataset: Dataset, num_clients: int, target_ks: float,
         counts = np.floor(share).astype(np.int64)
         frac = share - counts
         # Largest remainder; ties broken by lowest client id.
-        for cid in sorted(range(num_clients), key=lambda i: (-frac[i], i))[:nk - counts.sum()]:
-            counts[cid] += 1
-        pos = 0
-        for cid in range(num_clients):
-            out[cid].extend(idx[pos:pos + counts[cid]])
-            pos += counts[cid]
-    partition = {cid: np.sort(np.array(v, dtype=np.int64)) for cid, v in out.items()}
+        counts[np.argsort(-frac, kind="stable")[:nk - counts.sum()]] += 1
+        order.append(idx)
+        owner.append(np.repeat(np.arange(num_clients), counts))
+    order = np.concatenate(order).astype(np.int64, copy=False)
+    owner = np.concatenate(owner)
+    partition = {cid: np.sort(order[owner == cid]) for cid in range(num_clients)}
 
     realized = mean_pairwise_ks(partition, dataset.labels, c)
     if abs(realized - target_ks) > tolerance:

@@ -293,14 +293,19 @@ class Network:
         return state
 
     def load_state_dict(self, state: dict) -> None:
-        missing = [n for n in self._params if n not in state]
-        missing += [n for n in self._buffers if n not in state]
+        """Copy every parameter and buffer from `state`. Each must be present
+        with the model's shape; nothing is copied unless all are."""
+        targets = [(n, t.data) for n, t in self._params.items()]
+        targets += self._buffers.items()
+        missing = [n for n, _ in targets if n not in state]
         if missing:
             raise ConfigError(f"state dict missing entries: {missing[:4]}")
-        for n, t in self._params.items():
-            t.data[...] = state[n]
-        for n, b in self._buffers.items():
-            b[...] = state[n]
+        for n, dst in targets:
+            if np.shape(state[n]) != dst.shape:
+                raise ConfigError(f"state dict entry {n!r} has shape "
+                                  f"{np.shape(state[n])}, the model expects {dst.shape}")
+        for n, dst in targets:
+            dst[...] = state[n]
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,16 @@ reproduce byte-identical files regardless of client scheduling.
 
 Checkpoints are a UTF-8 manifest (name, dtype tag, shape, byte offset per
 tensor) next to a raw little-endian IEEE-754 blob; loading is bitwise exact.
+
+Every file is written to a temp file in its directory and moved into place
+with `os.replace`, so a run killed or failing mid-write leaves the previous
+file whole.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,7 +28,7 @@ from .data import to_input
 
 __all__ = ["RoundRecord", "ExperimentReport", "evaluate", "rounds_to_target",
            "tms", "save_checkpoint", "load_checkpoint", "CheckpointError",
-           "write_report", "read_rounds_csv"]
+           "write_report", "read_rounds_csv", "write_atomic"]
 
 
 class CheckpointError(ValueError):
@@ -96,6 +101,20 @@ _DTYPE_TAGS = {
 _TAG_TO_NP = {tag: le for _, (tag, le) in _DTYPE_TAGS.items()}
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Replace `path` with `data` through a temp file in the same directory;
+    on any failure the temp file is removed and `path` is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(entries: dict[str, np.ndarray], stem) -> None:
     """Write `<stem>.manifest` (text) and `<stem>.blob` (raw little-endian)."""
     stem = Path(stem)
@@ -115,9 +134,10 @@ def save_checkpoint(entries: dict[str, np.ndarray], stem) -> None:
         blobs.append(raw)
         offset += len(raw)
     stem.parent.mkdir(parents=True, exist_ok=True)
-    stem.with_suffix(stem.suffix + ".manifest").write_text(
-        "\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-    stem.with_suffix(stem.suffix + ".blob").write_bytes(b"".join(blobs))
+    # The blob goes first: the manifest that describes it completes the pair.
+    write_atomic(stem.with_suffix(stem.suffix + ".blob"), b"".join(blobs))
+    write_atomic(stem.with_suffix(stem.suffix + ".manifest"),
+                 ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8"))
 
 
 def load_checkpoint(stem) -> dict[str, np.ndarray]:
@@ -177,7 +197,7 @@ def write_report(report: ExperimentReport, out_dir) -> tuple[Path, Path]:
     lines = ["round,accuracy,loss,seconds"]
     for r in report.records:
         lines.append(f"{r.round},{_fmt(r.accuracy)},{_fmt(r.loss)},{_fmt(r.seconds)}")
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(csv_path, ("\n".join(lines) + "\n").encode("utf-8"))
 
     payload = {
         "config": report.config,
@@ -194,8 +214,8 @@ def write_report(report: ExperimentReport, out_dir) -> tuple[Path, Path]:
         "tms": report.tms,
     }
     json_path = out_dir / "report.json"
-    json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                         encoding="utf-8")
+    write_atomic(json_path,
+                 (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     return csv_path, json_path
 
 

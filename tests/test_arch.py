@@ -170,6 +170,23 @@ class TestNetwork:
         for n, v in other.state_dict().items():
             np.testing.assert_array_equal(v, state[n])
 
+    @pytest.mark.parametrize("name", ["head.bias", "stem.conv1.weight"])
+    def test_load_state_dict_rejects_wrong_shape(self, name):
+        # A mismatched entry used to broadcast silently: a head bias of
+        # [0.5] loaded as [0.5 0.5 0.5 0.5].
+        net = Network(toy_config())
+        before = net.state_dict()
+        state = dict(before)
+        state[name] = np.full((1,) * before[name].ndim, 0.5,
+                              dtype=before[name].dtype)
+        with pytest.raises(ConfigError) as err:
+            net.load_state_dict(state)
+        assert name in str(err.value)
+        assert str(state[name].shape) in str(err.value)
+        assert str(before[name].shape) in str(err.value)
+        for n, v in net.state_dict().items():
+            assert v.tobytes() == before[n].tobytes()
+
     def test_fedconv_default_structure(self):
         cfg = fedconv_tiny_config()
         net = Network(cfg)

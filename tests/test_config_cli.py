@@ -240,6 +240,23 @@ class TestCliFlopsSweepEval:
         doc = json.loads((tmp_path / "run" / "report.json").read_text())
         assert abs(float(out.split()[1]) - doc["final_accuracy"]) < 1e-3
 
+    def test_eval_wrong_shaped_entry_is_one_error_line(self, tmp_path, capsys):
+        from fedconv.reporting import load_checkpoint, save_checkpoint
+        cfg = write_config(tmp_path, base_doc())
+        main(["train", "--config", cfg, "--out", str(tmp_path / "run")])
+        stem = tmp_path / "run" / "checkpoint"
+        entries = load_checkpoint(stem)
+        entries["model.head.bias"] = np.array([0.5], dtype=np.float32)
+        save_checkpoint(entries, stem)
+        capsys.readouterr()
+        code = main(["eval", "--config", cfg, "--checkpoint", str(stem)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "head.bias" in lines[0]
+
     def test_eval_missing_checkpoint(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_doc())
         code = main(["eval", "--config", cfg,

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fedconv import autodiff as ad
+from fedconv import reporting
 from fedconv.autodiff import Tensor
 from fedconv.data import synth_dataset
 from fedconv.reporting import (CheckpointError, ExperimentReport, RoundRecord,
@@ -232,3 +233,50 @@ class TestReportFiles:
         p.write_text("wrong,header\n")
         with pytest.raises(ValueError, match="header"):
             read_rounds_csv(p)
+
+
+def _disk_full_open(path, mode):
+    """`open` for a disk that fills up: `write` stores half of its bytes,
+    then raises ENOSPC."""
+    f = open(path, mode)
+
+    class HalfWriter:
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            f.close()
+
+        def write(self, data):
+            f.write(data[:len(data) // 2])
+            f.flush()
+            raise OSError(28, "No space left on device")
+    return HalfWriter()
+
+
+class TestAtomicWrites:
+    """A write that fails midway leaves the previous file whole and no temp
+    file behind."""
+
+    @staticmethod
+    def snapshot(d):
+        return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+
+    def test_checkpoint_write_failure_keeps_previous(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(0)
+        save_checkpoint({"w": rng.standard_normal((8, 8))}, tmp_path / "ckpt")
+        before = self.snapshot(tmp_path)
+        monkeypatch.setattr(reporting, "open", _disk_full_open, raising=False)
+        with pytest.raises(OSError):
+            save_checkpoint({"w": rng.standard_normal((8, 8))}, tmp_path / "ckpt")
+        assert self.snapshot(tmp_path) == before
+        assert sorted(before) == ["ckpt.blob", "ckpt.manifest"]
+
+    def test_report_write_failure_keeps_previous(self, tmp_path, monkeypatch):
+        write_report(make_report(), tmp_path)
+        before = self.snapshot(tmp_path)
+        monkeypatch.setattr(reporting, "open", _disk_full_open, raising=False)
+        with pytest.raises(OSError):
+            write_report(make_report(params=2000, tms=4000), tmp_path)
+        assert self.snapshot(tmp_path) == before
+        assert sorted(before) == ["report.json", "rounds.csv"]
