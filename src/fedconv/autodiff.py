@@ -280,9 +280,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     ``groups == Cin == Cout`` gives depth-wise convolution. Only the kernel
     taps that can reach a real pixel are computed (a same-padded 9x9 kernel
     on a 2x2 map runs as 3x3); cropped taps get an exactly-zero weight
-    gradient. Forward is im2col over those taps of the input transposed to
+    gradient. Forward is im2col over those taps of the input read as
     (C, H, W, N), so the batch is innermost and every group is one GEMM over
-    batch and space; so is the weight gradient. At stride 1 the input
+    batch and space; so is the weight gradient. The output and the input
+    gradient are (N, C, H, W) views of (C, H, W, N) memory, so a following
+    conv reads them without a transposing copy. At stride 1 the input
     gradient is the forward correlation of the output gradient with the
     flipped, channel-swapped kernel, and at larger strides a scatter of the
     window gradients. The closure holds the column matrix until the one
@@ -311,7 +313,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     out_t, cols, geom = _correlate(xd.transpose(1, 2, 3, 0), wd, stride, (p, p),
                                    (p, p), groups)
     hout, wout, (th0, th1), (tw0, tw1) = geom[:4]
-    out_data = np.ascontiguousarray(out_t.transpose(3, 0, 1, 2))
+    out_data = out_t.transpose(3, 0, 1, 2)
     if bias is not None:
         out_data += bias.data[None, :, None, None]
 
@@ -339,9 +341,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
 
 def _conv_input_grad(gt: np.ndarray, wd: np.ndarray, stride: int, p: int,
                      groups: int, geom: tuple, h: int, w: int) -> np.ndarray:
-    """Gradient of a conv2d with respect to its (N, C, h, w) input, given the
-    (Cout, Hout, Wout, N) output gradient `gt` and the forward's
-    `_correlate` geometry."""
+    """Gradient of a conv2d with respect to its (N, C, h, w) input, as a view
+    of (C, h, w, N) memory, given the (Cout, Hout, Wout, N) output gradient
+    `gt` and the forward's `_correlate` geometry."""
     cout, n = gt.shape[0], gt.shape[3]
     cin_g, k = wd.shape[1], wd.shape[2]
     cin, og = cin_g * groups, cout // groups
@@ -356,7 +358,7 @@ def _conv_input_grad(gt: np.ndarray, wd: np.ndarray, stride: int, p: int,
         wf = wf.reshape(cin, og, k, k)
         q = k - 1 - p
         gx = _correlate(gt, wf, 1, (q, q), (q, q), groups)[0]
-        return np.ascontiguousarray(gx.transpose(3, 0, 1, 2))
+        return gx.transpose(3, 0, 1, 2)
     hout, wout, (th0, th1), (tw0, tw1), (ih0, ih1), (iw0, iw1) = geom
     kh, kw = th1 - th0, tw1 - tw0
     wm = wd[:, :, th0:th1, tw0:tw1].reshape(groups, og, cin_g * kh * kw)
@@ -367,12 +369,13 @@ def _conv_input_grad(gt: np.ndarray, wd: np.ndarray, stride: int, p: int,
         for j in range(kw):
             gs[:, i:i + stride * hout:stride,
                j:j + stride * wout:stride] += gcols[:, i, j]
-    # The input's share of the slab gradient, back in NCHW.
+    if (ih0, ih1, iw0, iw1) == (0, h, 0, w):
+        return gs.transpose(3, 0, 1, 2)
+    # The input's share of the slab gradient.
     a0, a1, b0, b1 = max(ih0, 0), min(ih1, h), max(iw0, 0), min(iw1, w)
-    gx = np.zeros((n, cin, h, w), dtype=gs.dtype)
-    part = gs[:, a0 - ih0:a1 - ih0, b0 - iw0:b1 - iw0]
-    gx[:, :, a0:a1, b0:b1] = part.transpose(3, 0, 1, 2)
-    return gx
+    gx = np.zeros((cin, h, w, n), dtype=gs.dtype)
+    gx[:, a0:a1, b0:b1] = gs[:, a0 - ih0:a1 - ih0, b0 - iw0:b1 - iw0]
+    return gx.transpose(3, 0, 1, 2)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -406,20 +409,27 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 def maxpool2d(x: Tensor, k: int, stride: int, padding: int = 0) -> Tensor:
     """Max pooling; the subgradient routes to the first (lowest linear index)
     maximal element of each window. Forward is a running maximum over the
-    k*k strided tap views of the (-inf) padded input."""
+    k*k strided tap views of the (-inf) padded input. Padding must be below
+    k, so every window holds a real pixel. The output is an (N, C, H, W)
+    view of (C, H, W, N) memory, like a conv2d output."""
     xd = x.data
     if xd.ndim != 4:
         raise ShapeError("maxpool2d expects NCHW input")
     if k < 1 or stride < 1 or padding < 0:
         raise ShapeError("maxpool2d: k >= 1 and stride >= 1 required")
-    h, w = xd.shape[2:]
+    if padding >= k:
+        raise ShapeError(f"maxpool2d: padding={padding} must be below k={k}, "
+                         "or a window holds only padding")
+    n, c, h, w = xd.shape
     hout = (h + 2 * padding - k) // stride + 1
     wout = (w + 2 * padding - k) // stride + 1
     if hout < 1 or wout < 1:
         raise ShapeError("maxpool2d: kernel larger than padded input")
     p = padding
     if p:
-        xp = np.pad(xd, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=-np.inf)
+        xp = np.full((c, h + 2 * p, w + 2 * p, n), -np.inf,
+                     dtype=xd.dtype).transpose(3, 0, 1, 2)
+        xp[:, :, p:p + h, p:p + w] = xd
     else:
         xp = xd
     # Tap t = i * k + j reads window pixel (i, j) of every output position.
@@ -427,14 +437,15 @@ def maxpool2d(x: Tensor, k: int, stride: int, padding: int = 0) -> Tensor:
              slice(i, i + stride * (hout - 1) + 1, stride),
              slice(j, j + stride * (wout - 1) + 1, stride))
             for i in range(k) for j in range(k)]
-    out_data = xp[taps[0]].copy()
+    out_data = np.empty((c, hout, wout, n), dtype=xd.dtype).transpose(3, 0, 1, 2)
+    out_data[...] = xp[taps[0]]
     for tap in taps[1:]:
         np.maximum(out_data, xp[tap], out=out_data)
     out, track = _result(out_data, (x,), "maxpool2d")
     if track:
         def _bwd():
             # firsts[t] marks the windows whose first maximal tap is t.
-            unclaimed = np.ones(out_data.shape, dtype=bool)
+            unclaimed = np.ones_like(out_data, dtype=bool)
             firsts = []
             for tap in taps:
                 first = xp[tap] == out_data
@@ -444,7 +455,7 @@ def maxpool2d(x: Tensor, k: int, stride: int, padding: int = 0) -> Tensor:
             # Descending taps visit each pixel's windows in ascending window
             # order, the summation order of a scatter-add; a window that
             # routes elsewhere adds a signed zero, which changes no sum.
-            gxp = np.zeros(xp.shape, dtype=xd.dtype)
+            gxp = np.zeros_like(xp)
             for t in range(k * k - 1, -1, -1):
                 gxp[taps[t]] += out.grad * firsts[t]
             _accum(x, gxp[:, :, p:p + h, p:p + w])
@@ -460,8 +471,11 @@ def global_avg_pool(x: Tensor) -> Tensor:
     out, track = _result(xd.mean(axis=(2, 3)), (x,), "global_avg_pool")
     if track:
         def _bwd():
-            scale = 1.0 / (h * w)
-            _accum(x, np.broadcast_to((out.grad * scale)[:, :, None, None], xd.shape))
+            # Filled in the input's memory order; a broadcast view would
+            # be copied into C order by `_accum`.
+            gx = np.empty_like(xd)
+            gx[...] = (out.grad * (1.0 / (h * w)))[:, :, None, None]
+            _accum(x, gx)
         out._backward = _bwd
     return out
 

@@ -64,7 +64,7 @@ def _covered(test):
     return test
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(case=conv_cases())
 @_covered
 def test_conv2d_forward_matches_naive_oracle(case):
@@ -75,7 +75,7 @@ def test_conv2d_forward_matches_naive_oracle(case):
                                atol=1e-12, rtol=0)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(case=conv_cases())
 @_covered
 def test_conv2d_gradients_match_finite_differences(case):

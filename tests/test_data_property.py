@@ -33,7 +33,7 @@ def client_counts(draw):
     return c, rows
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(case=client_counts(), order_seed=st.integers(0, 2**16))
 def test_mean_pairwise_ks_matches_oracle(case, order_seed):
     c, rows = case
@@ -58,7 +58,7 @@ def labelled_sets(draw):
     return c, labels
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(case=labelled_sets(), clients=st.integers(1, 60), seed=st.integers(0, 2**31))
 def test_partition_iid_deals_each_index_once_evenly(case, clients, seed):
     c, labels = case
@@ -71,7 +71,7 @@ def test_partition_iid_deals_each_index_once_evenly(case, clients, seed):
     assert max(sizes) - min(sizes) <= 1
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(clients=st.integers(2, 8), classes=st.integers(2, 10),
        per_class=st.integers(1, 30), target=st.floats(0.01, 1.0),
        tolerance=st.floats(0.01, 0.2), seed=st.integers(0, 2**31))

@@ -122,7 +122,7 @@ class TestCheckpoint:
             assert loaded[name].shape == arr.shape
             assert np.array_equal(loaded[name], arr), name
 
-    @settings(max_examples=100, deadline=None, derandomize=True,
+    @settings(max_examples=100,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(arrays=st.lists(
         st.sampled_from([np.float32, np.float64, np.int64]).flatmap(

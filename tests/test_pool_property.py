@@ -30,7 +30,7 @@ def pool_cases(draw):
                 seed=draw(st.integers(0, 2**32 - 1)))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(case=pool_cases())
 def test_maxpool2d_matches_loop_oracle(case):
     rng = np.random.default_rng(case["seed"])

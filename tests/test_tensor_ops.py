@@ -160,6 +160,14 @@ class TestMaxPool:
         with pytest.raises(ad.ShapeError):
             ad.maxpool2d(t(np.zeros((1, 1, 2, 2))), 5, 1)
 
+    @pytest.mark.parametrize("k,stride,padding", [(1, 1, 1), (2, 2, 2), (3, 1, 5)])
+    def test_window_of_only_padding_raises(self, k, stride, padding):
+        # padding >= k puts a whole window in the -inf border: a bad
+        # argument, not a numerics failure of the forward pass.
+        x = t(np.random.default_rng(k).standard_normal((1, 2, 4, 4)))
+        with pytest.raises(ad.ShapeError, match="padding"):
+            ad.maxpool2d(x, k, stride, padding)
+
 
 class TestGlobalAvgPool:
     def test_constant(self):

@@ -4,15 +4,22 @@
 (`fedconv.federated.mean_pairwise_ks`, `fedconv.autodiff.activation`, ...).
 Renaming or deleting one of them, or calling it other than through its
 module, breaks every traced benchmark run; this test fails instead. A traced
-run must also write the same report.json as an untraced one.
+run must also write the same report.json as an untraced one, and file every
+conv under the kind its layer has: the tracer tells a depth-wise conv by
+`x.data.shape[1]`, so an activation whose shape stopped being NCHW would be
+misfiled without failing anything else.
 """
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import fedconv.autodiff as ad
 import fedconv.cli as cli
 import fedconv.federated as fed
+from fedconv.config import parse_experiment
+from fedconv.layers import Conv2d
+from fedconv.models import Network
 
 from test_config_cli import base_doc, write_config
 
@@ -39,6 +46,21 @@ def _tracer_module():
     return module
 
 
+def _conv_kinds_per_forward(doc) -> Counter:
+    """Conv layers of the config's network by tracer kind, from the layer
+    geometry alone."""
+    kinds = Counter()
+    for _, layer in Network(parse_experiment(doc).arch).iter_layers():
+        if isinstance(layer, Conv2d):
+            if layer.groups > 1 and layer.groups == layer.cin:
+                kinds["conv2d_dw"] += 1
+            elif layer.k == 1:
+                kinds["conv2d_pw"] += 1
+            else:
+                kinds["conv2d_dense"] += 1
+    return kinds
+
+
 def test_traced_train_records_core_spans_and_same_report(tmp_path):
     cfg = write_config(tmp_path, base_doc())
     argv = ["train", "--config", cfg, "--threads", "2", "--out"]
@@ -60,6 +82,11 @@ def test_traced_train_records_core_spans_and_same_report(tmp_path):
     assert not missing, sorted(missing)
     metrics = tracer.summary()["metrics"]
     assert metrics["autodiff.conv2d_dw.calls"] > 0
+    forwards = sum(1 for span in tracer.spans if span[1] == "models.forward")
+    per_forward = _conv_kinds_per_forward(base_doc())
+    assert set(per_forward) == {"conv2d_dw", "conv2d_pw", "conv2d_dense"}
+    for kind, count in per_forward.items():
+        assert metrics[f"autodiff.{kind}.calls"] == count * forwards, kind
     assert metrics["data.partition_s"] > 0
     assert ((tmp_path / "traced" / "report.json").read_bytes()
             == (tmp_path / "plain" / "report.json").read_bytes())
