@@ -17,7 +17,7 @@ from .federated import (ClientState, FLMethodConfig, aggregate_fedavg,
 from .models import (ArchConfig, Network, calibrate_depths, count_flops,
                      count_params, fedconv_config, fedconv_tiny_config,
                      mean_activation_stat, resnet_m_config)
-from .optim import AGCConfig, AdamW, LrSchedule, SGD, agc_clip, lr_at
+from .optim import AGCConfig, AdamW, LrSchedule, ParamArena, SGD, lr_at
 from .reporting import (ExperimentReport, RoundRecord, evaluate,
                         load_checkpoint, rounds_to_target, save_checkpoint,
                         tms, write_report)

@@ -130,9 +130,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def zero_grad(self) -> None:
-        self.grad = np.zeros_like(self.data)
-
     def backward(self) -> None:
         """Populate grads of every reachable tensor, starting from a scalar.
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -48,13 +49,11 @@ def _load(args):
 
 def _final_checkpoint(out_dir: Path, capture: dict) -> None:
     entries = {f"model.{n}": v for n, v in capture["state"].items()}
-    if "clients" in capture:
-        for client in capture["clients"]:
-            for k, v in client.optimizer.state_dict().items():
-                entries[f"opt.client{client.id}.{k}"] = v
-    elif "optimizer" in capture:
-        for k, v in capture["optimizer"].state_dict().items():
-            entries[f"opt.{k}"] = v
+    optimizers = [(f"client{c.id}.", c.optimizer) for c in capture.get("clients", ())]
+    if "optimizer" in capture:
+        optimizers.append(("", capture["optimizer"]))
+    for prefix, opt in optimizers:
+        entries.update((f"opt.{prefix}{k}", v) for k, v in opt.state_dict().items())
     save_checkpoint(entries, out_dir / "checkpoint")
 
 
@@ -66,32 +65,24 @@ def _round_writer(out_dir: Path):
 
 
 def cmd_train(args) -> int:
+    """`train` runs the federated rounds; `central` trains one model on the
+    pooled training set with the same outputs."""
     exp = _load(args)
     out_dir = _out_dir(exp, args)
     out_dir.mkdir(parents=True, exist_ok=True)
     capture: dict = {}
     hook = _round_writer(out_dir) if exp.save_round_checkpoints else None
-    report = run_federated(exp, threads=args.threads, round_checkpoint=hook,
-                           capture=capture)
+    if args.command == "central":
+        report = central_train(exp, round_checkpoint=hook, capture=capture)
+    else:
+        report = run_federated(exp, threads=args.threads, round_checkpoint=hook,
+                               capture=capture)
     write_report(report, out_dir)
     _final_checkpoint(out_dir, capture)
     print(f"final_accuracy {report.final_accuracy:.4f}")
     if report.rounds_to_target is not None:
         print(f"rounds_to_target {report.rounds_to_target}")
         print(f"tms {report.tms}")
-    return 0
-
-
-def cmd_central(args) -> int:
-    exp = _load(args)
-    out_dir = _out_dir(exp, args)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    capture: dict = {}
-    hook = _round_writer(out_dir) if exp.save_round_checkpoints else None
-    report = central_train(exp, round_checkpoint=hook, capture=capture)
-    write_report(report, out_dir)
-    _final_checkpoint(out_dir, capture)
-    print(f"final_accuracy {report.final_accuracy:.4f}")
     return 0
 
 
@@ -116,6 +107,9 @@ def cmd_flops(args) -> int:
     exp = _load(args)
     arch = exp.arch
     if args.calibrate is not None:
+        for flag, value in (("--calibrate", args.calibrate), ("--tolerance", args.tolerance)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{flag} must be a finite number, got {value}")
         depths = calibrate_depths(arch, int(args.calibrate), args.tolerance)
         print(f"calibrated_depths {' '.join(str(d) for d in depths)}")
         arch = replace(arch, depths=depths)
@@ -128,14 +122,18 @@ _SWEEP_AXES = ("kernel_size", "activation", "stem", "act_placement", "norm_place
 
 
 def cmd_sweep(args) -> int:
-    exp = _load(args)  # validates the base config up front
+    exp = _load(args)
     out_dir = _out_dir(exp, args)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
+    cells = []  # every cell's config is validated before the first one runs
     for value in args.values:
         doc = copy.deepcopy(exp.raw)
-        doc["arch"][args.axis] = int(value) if args.axis == "kernel_size" else value
-        run_exp = parse_experiment(doc)
+        # A non-decimal kernel size stays a string, which validation rejects.
+        doc["arch"][args.axis] = (int(value) if args.axis == "kernel_size"
+                                  and value.isdecimal() else value)
+        cells.append((value, parse_experiment(doc)))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for value, run_exp in cells:
         report = run_federated(run_exp, threads=args.threads)
         sub = out_dir / f"sweep_{args.axis}_{value}"
         write_report(report, sub)
@@ -178,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="max parallel clients per round")
         p.add_argument("--out", default=None, help="override config output_dir")
 
-    for name, fn in (("train", cmd_train), ("central", cmd_central),
+    for name, fn in (("train", cmd_train), ("central", cmd_train),
                      ("partition", cmd_partition)):
         p = sub.add_parser(name)
         common(p)
@@ -215,10 +213,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except _USAGE_ERRORS as e:
         return _fail(str(e))
-    except NumericsError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (NumericsError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

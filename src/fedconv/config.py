@@ -103,26 +103,15 @@ class _Section:
             return default
         return self.d[key]
 
-    def int_field(self, key: str, *, required=False, default=None, lo=None, hi=None):
+    def field(self, key: str, ok, expected: str, *, required=False, default=None,
+              lo=None, lo_strict=None, hi=None, choices=None):
+        """The value at `key`, checked by `ok` and against the bounds and
+        choices; `default` when it is absent or of the wrong type."""
         v = self.take(key, required=required, default=default)
-        if v is default and key not in self.d:
+        if key not in self.d:
             return default
-        if not _is_int(v):
-            self.err(key, f"expected an integer, got {v!r}")
-            return default
-        if lo is not None and v < lo:
-            self.err(key, f"must be >= {lo}")
-        if hi is not None and v > hi:
-            self.err(key, f"must be <= {hi}")
-        return v
-
-    def num_field(self, key: str, *, required=False, default=None, lo=None,
-                  lo_strict=None, hi=None):
-        v = self.take(key, required=required, default=default)
-        if v is default and key not in self.d:
-            return default
-        if not _is_num(v):
-            self.err(key, f"expected a number, got {v!r}")
+        if not ok(v):
+            self.err(key, f"expected {expected}, got {v!r}")
             return default
         if lo is not None and v < lo:
             self.err(key, f"must be >= {lo}")
@@ -130,34 +119,27 @@ class _Section:
             self.err(key, f"must be > {lo_strict}")
         if hi is not None and v > hi:
             self.err(key, f"must be <= {hi}")
-        return float(v)
-
-    def str_field(self, key: str, *, required=False, default=None, choices=None):
-        v = self.take(key, required=required, default=default)
-        if v is default and key not in self.d:
-            return default
-        if not isinstance(v, str):
-            self.err(key, f"expected a string, got {v!r}")
-            return default
         if choices is not None and v not in choices:
             self.err(key, f"must be one of {sorted(choices)}, got {v!r}")
         return v
 
+    def int_field(self, key: str, **kw):
+        return self.field(key, _is_int, "an integer", **kw)
+
+    def num_field(self, key: str, **kw):
+        v = self.field(key, _is_num, "a number", **kw)
+        return None if v is None else float(v)
+
+    def str_field(self, key: str, **kw):
+        return self.field(key, lambda v: isinstance(v, str), "a string", **kw)
+
     def bool_field(self, key: str, *, default=False):
-        v = self.take(key, default=default)
-        if key in self.d and not isinstance(v, bool):
-            self.err(key, f"expected true/false, got {v!r}")
-            return default
-        return v
+        return self.field(key, lambda v: isinstance(v, bool), "true/false",
+                          default=default)
 
     def sub(self, key: str, *, required=False) -> "dict | None":
-        v = self.take(key, required=required)
-        if v is None:
-            return None
-        if not isinstance(v, dict):
-            self.err(key, f"expected an object, got {v!r}")
-            return None
-        return v
+        return self.field(key, lambda v: isinstance(v, dict), "an object",
+                          required=required)
 
     def finish(self) -> None:
         for key in sorted(set(self.d) - self.known):

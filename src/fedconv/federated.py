@@ -14,9 +14,9 @@ cannot change results.
 
 Client optimizer state persists across rounds and is never aggregated or
 reset. Any object exposing the small model surface used here (forward,
-named_parameters, zero_grad, state_dict/load_state_dict, train/eval,
-bn_param_names, head_param_names) can stand in for a Network, which keeps
-toy models testable.
+named_parameters returning a `ParamArena`, zero_grad,
+state_dict/load_state_dict, train/eval, bn_param_names, head_param_names)
+can stand in for a Network, which keeps toy models testable.
 """
 
 from __future__ import annotations
@@ -98,10 +98,10 @@ class ClientState:
 # local training
 # ---------------------------------------------------------------------------
 
-def apply_prox_grads(params, mu: float, ref: dict) -> None:
-    """Add the proximal-term gradient mu * (w - w_ref) to every parameter."""
-    for name, p in params.items():
-        p.grad += mu * (p.data - ref[name])
+def apply_prox_grads(params, mu: float, w_ref: np.ndarray) -> None:
+    """Add the proximal-term gradient mu * (w - w_ref) to every parameter of
+    the arena `params`; `w_ref` is a flat weight vector."""
+    params.grad += mu * (params.data - w_ref)
 
 
 def train_epochs(model, optimizer, dataset: Dataset, indices, rng, *,
@@ -109,8 +109,8 @@ def train_epochs(model, optimizer, dataset: Dataset, indices, rng, *,
                  agc_cfg: AGCConfig | None = None, prox=None,
                  step_count: int = 0, dtype=np.float32) -> tuple[int, float]:
     """Mini-batch training passes over `indices`; returns the advanced step
-    count and the sample-weighted mean loss. `prox` is (mu, reference state)
-    adding mu * (w - w_ref) to every trainable gradient."""
+    count and the sample-weighted mean loss. `prox` is (mu, flat reference
+    weights) adding mu * (w - w_ref) to every trainable gradient."""
     model.train()
     indices = np.asarray(indices)
     n = len(indices)
@@ -153,7 +153,7 @@ def local_update(client: ClientState, model, global_state: dict, *,
     client.optimizer.params = model.named_parameters()
     prox = None
     if method.name == "fedprox" and method.mu != 0.0:
-        prox = (method.mu, global_state)
+        prox = (method.mu, model.named_parameters().data.copy())
     client.step_count, mean_loss = train_epochs(
         model, client.optimizer, dataset, client.indices, client.rng,
         epochs=epochs, batch_size=batch_size, schedule=schedule,

@@ -15,12 +15,14 @@ from .autodiff import Tensor
 
 class Layer:
     training: bool = True
+    param_names: tuple[str, ...] = ()  # parameter attributes, registry order
 
     def forward(self, x: Tensor) -> Tensor:
         raise NotImplementedError
 
     def named_params(self) -> list[tuple[str, Tensor]]:
-        return []
+        return [(n, getattr(self, n)) for n in self.param_names
+                if getattr(self, n) is not None]
 
     def named_buffers(self) -> list[tuple[str, np.ndarray]]:
         return []
@@ -41,6 +43,8 @@ def _he_fill(t: Tensor, rng: np.random.Generator, fan_in: int) -> None:
 
 
 class Conv2d(Layer):
+    param_names = ("weight", "bias")
+
     def __init__(self, cin: int, cout: int, k: int, *, stride: int = 1,
                  padding: int = 0, groups: int = 1, bias: bool = True,
                  dtype=np.float32):
@@ -55,12 +59,6 @@ class Conv2d(Layer):
     def forward(self, x: Tensor) -> Tensor:
         return ad.conv2d(x, self.weight, self.bias, stride=self.stride,
                          padding=self.padding, groups=self.groups)
-
-    def named_params(self):
-        out = [("weight", self.weight)]
-        if self.bias is not None:
-            out.append(("bias", self.bias))
-        return out
 
     def init_params(self, rng):
         _he_fill(self.weight, rng, (self.cin // self.groups) * self.k * self.k)
@@ -77,6 +75,8 @@ class Conv2d(Layer):
 
 
 class Linear(Layer):
+    param_names = ("weight", "bias")
+
     def __init__(self, cin: int, cout: int, dtype=np.float32):
         self.cin, self.cout = cin, cout
         self.weight = Tensor(np.zeros((cout, cin), dtype=dtype), requires_grad=True)
@@ -84,9 +84,6 @@ class Linear(Layer):
 
     def forward(self, x: Tensor) -> Tensor:
         return ad.linear(x, self.weight, self.bias)
-
-    def named_params(self):
-        return [("weight", self.weight), ("bias", self.bias)]
 
     def init_params(self, rng):
         _he_fill(self.weight, rng, self.cin)
@@ -117,6 +114,8 @@ class GlobalAvgPool(Layer):
 
 
 class LayerNormC(Layer):
+    param_names = ("gamma", "beta")
+
     def __init__(self, c: int, eps: float = 1e-5, dtype=np.float32):
         self.c, self.eps = c, eps
         self.gamma = Tensor(np.ones(c, dtype=dtype), requires_grad=True)
@@ -125,15 +124,14 @@ class LayerNormC(Layer):
     def forward(self, x: Tensor) -> Tensor:
         return ad.layer_norm_c(x, self.gamma, self.beta, self.eps)
 
-    def named_params(self):
-        return [("gamma", self.gamma), ("beta", self.beta)]
-
     def init_params(self, rng):
         self.gamma.data[...] = 1
         self.beta.data[...] = 0
 
 
 class BatchNorm2d(Layer):
+    param_names = ("gamma", "beta")
+
     def __init__(self, c: int, momentum: float = 0.1, eps: float = 1e-5,
                  dtype=np.float32):
         self.c, self.momentum, self.eps = c, momentum, eps
@@ -146,9 +144,6 @@ class BatchNorm2d(Layer):
         return ad.batch_norm(x, self.gamma, self.beta, self.running_mean,
                              self.running_var, self.momentum, self.eps,
                              training=self.training)
-
-    def named_params(self):
-        return [("gamma", self.gamma), ("beta", self.beta)]
 
     def named_buffers(self):
         return [("running_mean", self.running_mean), ("running_var", self.running_var)]
@@ -167,6 +162,8 @@ class Activation(Layer):
     last output, which the activation-statistics report reads back.
     """
 
+    param_names = ("alpha",)
+
     def __init__(self, kind: str, channels: int | None = None, dtype=np.float32):
         if kind not in ad.ACTIVATION_KINDS:
             raise ad.ShapeError(f"unknown activation kind {kind!r}")
@@ -184,9 +181,6 @@ class Activation(Layer):
         if self.collect_stats:
             self.last_mean = float(out.data.mean())
         return out
-
-    def named_params(self):
-        return [("alpha", self.alpha)] if self.alpha is not None else []
 
     def init_params(self, rng):
         if self.alpha is not None:

@@ -3,7 +3,8 @@
 A model is described by an ``ArchConfig``: stem kind, block kind, stage
 widths/depths, kernel size, activation kind and placement, normalization
 kind and placement. ``Network`` assembles the layers, exposes a stable
-name -> parameter registry (needed for federated aggregation), and supports
+name -> parameter registry (needed for federated aggregation) whose
+parameters live in one flat weight and one flat gradient vector, and supports
 exact parameter and multiply-accumulate counting straight off the layer
 geometry.
 """
@@ -19,6 +20,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .layers import (Activation, BatchNorm2d, Conv2d, GlobalAvgPool, Layer,
                      LayerNormC, Linear, MaxPool2d)
+from .optim import ParamArena
 
 BLOCK_KINDS = ("normal", "invert", "invert_up")
 STEM_KINDS = ("resnet", "swin", "conv", "swin_k5", "resnet_nopool")
@@ -186,7 +188,9 @@ class Network:
     average pool -> optional channel layer norm -> linear head.
 
     Parameter names are stable, ordered, and unique; two networks built from
-    the same config expose identical registries.
+    the same config expose identical registries. The registry is a
+    `ParamArena`: every parameter's data and gradient are views into its two
+    flat vectors.
     """
 
     def __init__(self, cfg: ArchConfig, dtype=np.float32):
@@ -210,7 +214,7 @@ class Network:
         self.final_norm = LayerNormC(c[3], dtype=dtype) if cfg.norm_kind != "none" else None
         self.head = Linear(c[3], cfg.num_classes, dtype=dtype)
         self._leaves = self._collect_leaves()
-        self._params = OrderedDict(
+        self._params = ParamArena(
             (f"{lname}.{pname}", t)
             for lname, layer in self._leaves
             for pname, t in layer.named_params())
@@ -262,19 +266,16 @@ class Network:
     def iter_layers(self):
         return iter(self._leaves)
 
-    def named_parameters(self) -> OrderedDict:
+    def named_parameters(self) -> ParamArena:
         return self._params
 
     def named_buffers(self) -> OrderedDict:
         return self._buffers
 
     def bn_param_names(self) -> set[str]:
-        names = set()
-        for lname, layer in self._leaves:
-            if isinstance(layer, BatchNorm2d):
-                names.update(f"{lname}.{p}" for p, _ in layer.named_params())
-                names.update(f"{lname}.{b}" for b, _ in layer.named_buffers())
-        return names
+        return {f"{lname}.{n}" for lname, layer in self._leaves
+                if isinstance(layer, BatchNorm2d)
+                for n, _ in layer.named_params() + layer.named_buffers()}
 
     def head_param_names(self) -> set[str]:
         return {"head.weight", "head.bias"}
@@ -284,8 +285,7 @@ class Network:
             layer.init_params(rng)
 
     def zero_grad(self) -> None:
-        for t in self._params.values():
-            t.zero_grad()
+        self._params.grad.fill(0)
 
     def state_dict(self) -> OrderedDict:
         state = OrderedDict((n, t.data.copy()) for n, t in self._params.items())
@@ -314,8 +314,7 @@ class Network:
 
 def count_params(cfg: ArchConfig) -> int:
     """Trainable parameters only (batch-norm running statistics excluded)."""
-    net = Network(cfg)
-    return int(sum(t.data.size for t in net.named_parameters().values()))
+    return int(Network(cfg).named_parameters().data.size)
 
 
 def count_flops(cfg: ArchConfig) -> int:

@@ -1,4 +1,5 @@
-"""Local optimizers, adaptive gradient clipping, and the learning-rate schedule."""
+"""The flat parameter arena, local optimizers, adaptive gradient clipping,
+and the learning-rate schedule."""
 
 from __future__ import annotations
 
@@ -7,9 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
-
-__all__ = ["AGCConfig", "LrSchedule", "lr_at", "unitwise_norm", "agc_clip",
+__all__ = ["AGCConfig", "LrSchedule", "lr_at", "unitwise_norm", "ParamArena",
            "AdamW", "SGD", "clip_model_grads"]
 
 
@@ -54,114 +53,146 @@ def unitwise_norm(a: np.ndarray) -> np.ndarray:
     raise ValueError(f"no unit-wise norm rule for ndim={a.ndim}")
 
 
-def _agc_factor(p: np.ndarray, g: np.ndarray, cfg: AGCConfig) -> np.ndarray:
-    """Per-unit factor AGC scales the gradient by: limit / ||g_i|| where
-    ||g_i|| exceeds limit = clipping * max(||w_i||, eps), else exactly 1."""
-    wn = np.maximum(unitwise_norm(p), cfg.eps)
-    gn = unitwise_norm(g)
-    limit = cfg.clipping * wn
-    return np.where(gn > limit, limit / np.maximum(gn, 1e-30), 1)
+class ParamArena(dict):
+    """Ordered name -> Tensor registry whose parameters live in one flat
+    weight vector and one flat gradient vector, in registry order: every
+    Tensor's `data` and `grad` is a view into `self.data` and `self.grad`.
+    Optimizer steps, AGC, zero_grad and the proximal term are therefore
+    single vector operations. Parameters must share one dtype and be written
+    in place; rebinding a Tensor's `data` or `grad` detaches it."""
+
+    def __init__(self, named_tensors):
+        super().__init__(named_tensors)
+        dtypes = {t.data.dtype for t in self.values()}
+        if len(dtypes) > 1:
+            raise ValueError(f"arena parameters must share one dtype, got {dtypes}")
+        self.data = np.empty(sum(t.data.size for t in self.values()),
+                             dtypes.pop() if dtypes else np.float32)
+        # np.zeros (unlike zeros_like) leaves pages untouched until written:
+        # a network that never trains holds no resident gradient memory.
+        self.grad = np.zeros(self.data.shape, self.data.dtype)
+        self._units: dict = {}
+        lo = 0
+        for t in self.values():
+            view = self.data[lo:lo + t.data.size].reshape(t.data.shape)
+            view[...] = t.data
+            t.data = view
+            t.grad = self.grad[lo:lo + view.size].reshape(view.shape)
+            lo += view.size
+
+    def units(self, exclude=frozenset()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """AGC units as (starts, sizes, keep): each unit's offset and length
+        in the flat vectors, and whether its parameter is clipped (not in
+        `exclude`). Units follow `unitwise_norm`; empty ones are dropped.
+        Computed once per exclude set."""
+        key = frozenset(exclude)
+        if key not in self._units:
+            starts, sizes, keep, lo = [], [], [], 0
+            for name, t in self.items():
+                n = unitwise_norm(t.data).size
+                if t.data.size:
+                    size = t.data.size // n
+                    starts += range(lo, lo + t.data.size, size)
+                    sizes += [size] * n
+                    keep += [name not in key] * n
+                lo += t.data.size
+            self._units[key] = (np.array(starts, dtype=np.intp),
+                                np.array(sizes, dtype=np.intp), np.array(keep))
+        return self._units[key]
 
 
-def agc_clip(params, grads, cfg: AGCConfig) -> list[np.ndarray]:
-    """Adaptive gradient clipping: per unit i, scale g_i down whenever
-    ||g_i|| / max(||w_i||, eps) exceeds the clipping factor. Inputs are left
-    untouched; clipped copies are returned."""
-    return [g * _agc_factor(p, g, cfg) for p, g in zip(params, grads)]
-
-
-def clip_model_grads(named_params: "OrderedDict[str, Tensor]", cfg: AGCConfig,
+def clip_model_grads(named_params: ParamArena, cfg: AGCConfig,
                      exclude: set[str] = frozenset()) -> None:
     """Apply AGC in place to every parameter gradient except the excluded
-    names (typically the classifier head)."""
-    for name, t in named_params.items():
-        if name not in exclude:
-            t.grad *= _agc_factor(t.data, t.grad, cfg)
+    names (typically the classifier head): per unit i, scale g_i down to
+    clipping * max(||w_i||, eps) whenever ||g_i|| exceeds that limit."""
+    starts, sizes, keep = named_params.units(exclude)
+    if not len(starts):
+        return
+
+    def unit_norms(a):
+        # A zero before each unit makes reduceat's sum of a segment (first
+        # element plus pairwise sum of the rest) the pairwise sum of the
+        # unit, which is the order np.sum reduces a contiguous row in.
+        sq = np.insert(a, starts, 0)
+        np.multiply(sq, sq, out=sq)
+        return np.sqrt(np.add.reduceat(sq, starts + np.arange(len(starts))))
+
+    g = named_params.grad
+    limit = cfg.clipping * np.maximum(unit_norms(named_params.data), cfg.eps)
+    gn = unit_norms(g)
+    factor = np.where(keep & (gn > limit), limit / np.maximum(gn, 1e-30), 1)
+    g *= np.repeat(factor, sizes)
 
 
-class AdamW:
+class _Optimizer:
+    """State shared by the optimizers: the arena they step, the step count
+    `t`, and flat per-parameter slots (moments, momentum buffer) in arena
+    order. A slot is None when the configuration does not use it."""
+
+    slots: tuple[str, ...] = ()
+
+    def state_dict(self) -> OrderedDict:
+        state = OrderedDict(t=np.array(self.t, dtype=np.int64))
+        state.update((k, getattr(self, k).copy()) for k in self.slots
+                     if getattr(self, k) is not None)
+        return state
+
+    def load_state_dict(self, state: dict) -> None:
+        self.t = int(state["t"])
+        for k in self.slots:
+            if getattr(self, k) is not None:
+                getattr(self, k)[...] = state[k]
+
+
+class AdamW(_Optimizer):
     """Decoupled weight decay applied before the moment update, then
     bias-corrected Adam moments."""
 
-    def __init__(self, params: "OrderedDict[str, Tensor]", betas=(0.9, 0.999),
+    slots = ("m", "v")
+
+    def __init__(self, params: ParamArena, betas=(0.9, 0.999),
                  eps: float = 1e-8, weight_decay: float = 0.0):
         self.params = params
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = OrderedDict((n, np.zeros_like(t.data)) for n, t in params.items())
-        self.v = OrderedDict((n, np.zeros_like(t.data)) for n, t in params.items())
+        self.m = np.zeros_like(params.data)
+        self.v = np.zeros_like(params.data)
 
     def step(self, lr: float) -> None:
-        for n, p in self.params.items():
-            if p.grad is None:
-                raise ValueError(f"parameter {n!r} has no gradient")
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for n, p in self.params.items():
-            g = p.grad
-            if self.weight_decay:
-                p.data *= 1.0 - lr * self.weight_decay
-            m = self.m[n]
-            v = self.v[n]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-    def state_dict(self) -> OrderedDict:
-        state = OrderedDict()
-        state["t"] = np.array(self.t, dtype=np.int64)
-        for n in self.params:
-            state[f"m.{n}"] = self.m[n].copy()
-            state[f"v.{n}"] = self.v[n].copy()
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        self.t = int(state["t"])
-        for n in self.params:
-            self.m[n][...] = state[f"m.{n}"]
-            self.v[n][...] = state[f"v.{n}"]
+        w, g = self.params.data, self.params.grad
+        if self.weight_decay:
+            w *= 1.0 - lr * self.weight_decay
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * g
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * g * g
+        w -= lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
 
 
-class SGD:
+class SGD(_Optimizer):
     """Plain SGD with an optional heavy-ball momentum buffer:
     v <- momentum * v + g; param <- param - lr * v."""
 
-    def __init__(self, params: "OrderedDict[str, Tensor]", momentum: float = 0.0):
+    slots = ("buf",)
+
+    def __init__(self, params: ParamArena, momentum: float = 0.0):
         self.params = params
         self.momentum = momentum
         self.t = 0
-        self.buf = OrderedDict(
-            (n, np.zeros_like(t.data)) for n, t in params.items()) if momentum else None
+        self.buf = np.zeros_like(params.data) if momentum else None
 
     def step(self, lr: float) -> None:
-        for n, p in self.params.items():
-            if p.grad is None:
-                raise ValueError(f"parameter {n!r} has no gradient")
         self.t += 1
-        for n, p in self.params.items():
-            if self.buf is None:
-                p.data -= lr * p.grad
-            else:
-                b = self.buf[n]
-                b *= self.momentum
-                b += p.grad
-                p.data -= lr * b
-
-    def state_dict(self) -> OrderedDict:
-        state = OrderedDict()
-        state["t"] = np.array(self.t, dtype=np.int64)
-        if self.buf is not None:
-            for n in self.params:
-                state[f"buf.{n}"] = self.buf[n].copy()
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        self.t = int(state["t"])
-        if self.buf is not None:
-            for n in self.params:
-                self.buf[n][...] = state[f"buf.{n}"]
+        w, g = self.params.data, self.params.grad
+        if self.buf is None:
+            w -= lr * g
+        else:
+            self.buf *= self.momentum
+            self.buf += g
+            w -= lr * self.buf

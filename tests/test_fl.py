@@ -15,7 +15,7 @@ from fedconv.federated import (ClientState, FLMethodConfig, YogiState,
                                apply_prox_grads, central_train, local_update,
                                run_federated, train_epochs, yogi_server_step)
 from fedconv.models import Network
-from fedconv.optim import LrSchedule, SGD
+from fedconv.optim import LrSchedule, ParamArena, SGD
 
 
 class ToyModel:
@@ -24,7 +24,7 @@ class ToyModel:
 
     def __init__(self, num_classes=2, dtype=np.float64):
         self.w = Tensor(np.zeros((num_classes, 3), dtype=dtype), requires_grad=True)
-        self._params = OrderedDict([("head.weight", self.w)])
+        self._params = ParamArena([("head.weight", self.w)])
 
     def forward(self, x):
         return ad.linear(ad.global_avg_pool(x), self.w)
@@ -36,8 +36,7 @@ class ToyModel:
         return OrderedDict()
 
     def zero_grad(self):
-        for t in self._params.values():
-            t.zero_grad()
+        self._params.grad.fill(0)
 
     def train(self):
         return self
@@ -251,10 +250,12 @@ class TestLocalUpdate:
         assert nk == len(idx)
 
     def test_prox_gradient_formula(self):
-        w = Tensor(np.array([1.0]), requires_grad=True)
-        w.grad = np.array([0.0])
-        apply_prox_grads(OrderedDict([("w", w)]), 0.1, {"w": np.array([0.0])})
-        assert abs(w.grad[0] - 0.1) < 1e-15
+        params = ParamArena([("w", Tensor(np.array([1.0]), requires_grad=True)),
+                             ("b", Tensor(np.array([[2.0, -1.0]]), requires_grad=True))])
+        params["b"].grad[...] = 0.5
+        apply_prox_grads(params, 0.1, np.array([0.0, 2.0, 1.0]))
+        assert abs(params["w"].grad[0] - 0.1) < 1e-15
+        np.testing.assert_allclose(params["b"].grad, [[0.5, 0.5 - 0.2]], rtol=0, atol=1e-15)
 
     def test_prox_zero_mu_identical_trajectory(self):
         ds = synth_dataset(1, 2, 10, 32)
@@ -438,14 +439,12 @@ class TestRunFederated:
         assert_states_equal(a, b, bitwise=True)
 
     def test_unreachable_params_get_zero_grad(self):
-        # After zero_grad + backward, a parameter the loss never touches keeps
-        # an all-zero gradient and the optimizer still accepts the step.
+        # After backward, a parameter the loss never touches keeps an
+        # all-zero arena gradient and the optimizer still accepts the step.
         from fedconv.optim import SGD as PlainSGD
         used = Tensor(np.ones((2, 3)), requires_grad=True)
         unused = Tensor(np.ones((2, 3)), requires_grad=True)
-        params = OrderedDict([("used", used), ("unused", unused)])
-        for t in params.values():
-            t.zero_grad()
+        params = ParamArena([("used", used), ("unused", unused)])
         feats = Tensor(np.random.default_rng(0).standard_normal((4, 3)))
         loss = ad.softmax_cross_entropy(ad.linear(feats, used), np.array([0, 1, 0, 1]))
         loss.backward()

@@ -61,13 +61,17 @@ def _conv_kinds_per_forward(doc) -> Counter:
     return kinds
 
 
-def test_traced_train_records_core_spans_and_same_report(tmp_path):
-    cfg = write_config(tmp_path, base_doc())
+def _traced_train(tmp_path, doc):
+    """Train `doc` untraced and traced; check the tracer left every patched
+    name restored and both runs wrote the same report.json. Returns the
+    tracer."""
+    cfg = write_config(tmp_path, doc)
     argv = ["train", "--config", cfg, "--threads", "2", "--out"]
     assert cli.main(argv + [str(tmp_path / "plain")]) == 0
 
     originals = (ad.activation, ad.conv2d, fed.mean_pairwise_ks,
-                 fed.partition_iid, fed.run_round, cli.save_checkpoint)
+                 fed.partition_iid, fed.run_round, cli.save_checkpoint,
+                 fed.clip_model_grads)
     tracer = _tracer_module().Tracer("contract")
     tracer.install()
     try:
@@ -76,8 +80,14 @@ def test_traced_train_records_core_spans_and_same_report(tmp_path):
         tracer.uninstall()
     assert rc == 0
     assert (ad.activation, ad.conv2d, fed.mean_pairwise_ks, fed.partition_iid,
-            fed.run_round, cli.save_checkpoint) == originals
+            fed.run_round, cli.save_checkpoint, fed.clip_model_grads) == originals
+    assert ((tmp_path / "traced" / "report.json").read_bytes()
+            == (tmp_path / "plain" / "report.json").read_bytes())
+    return tracer
 
+
+def test_traced_train_records_core_spans_and_same_report(tmp_path):
+    tracer = _traced_train(tmp_path, base_doc())
     missing = CORE_SPANS - {span[1] for span in tracer.spans}
     assert not missing, sorted(missing)
     metrics = tracer.summary()["metrics"]
@@ -88,5 +98,21 @@ def test_traced_train_records_core_spans_and_same_report(tmp_path):
     for kind, count in per_forward.items():
         assert metrics[f"autodiff.{kind}.calls"] == count * forwards, kind
     assert metrics["data.partition_s"] > 0
-    assert ((tmp_path / "traced" / "report.json").read_bytes()
-            == (tmp_path / "plain" / "report.json").read_bytes())
+
+
+def test_traced_agc_sgd_fedyogi_train(tmp_path):
+    # The AGC and SGD + fedyogi paths that two of the benchmark workloads
+    # trace: clip_model_grads is wrapped to count clipped units through
+    # optim.unitwise_norm on every named parameter.
+    doc = base_doc(**{"fl.method": {"name": "fedyogi"},
+                      "optimizer": {"kind": "sgd", "base_lr": 0.03,
+                                    "warmup_epochs": 0, "total_epochs": 4,
+                                    "momentum": 0.9,
+                                    "agc": {"clipping": 0.01, "eps": 1e-3}}})
+    tracer = _traced_train(tmp_path, doc)
+    names = {span[1] for span in tracer.spans}
+    assert {"optim.agc", "optim.step", "optim.zero_grad",
+            "federated.aggregate"} <= names
+    metrics = tracer.summary()["metrics"]
+    assert metrics["optim.agc_s"] > 0 and metrics["optim.step_s"] > 0
+    assert 0 < metrics["optim.agc_clip_frac"] <= 1
