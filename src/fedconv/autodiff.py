@@ -241,15 +241,29 @@ def _slab(xt: np.ndarray, h0: int, h1: int, w0: int, w1: int) -> np.ndarray:
     return xs
 
 
+# A column matrix that the caller does not keep and that is larger than
+# _BLOCK_ABOVE bytes is built a few output rows at a time, in one reused
+# buffer of about _BLOCK_BYTES (at least one output row), and each block is
+# multiplied straight into the output. A block's column count must be a
+# multiple of _BLOCK_ALIGN so that the BLAS computes every output column as
+# the single GEMM would, bit for bit (OpenBLAS's Haswell kernels need 16).
+# Chosen by measurement: blocking smaller matrices made glibc's dynamic mmap
+# threshold fault the buffers in again on every call.
+_BLOCK_BYTES = 2 << 20
+_BLOCK_ABOVE = 16 << 20
+_BLOCK_ALIGN = 64
+
+
 def _correlate(xt: np.ndarray, wd: np.ndarray, stride: int, pad_h: tuple,
-               pad_w: tuple, groups: int):
+               pad_w: tuple, groups: int, *, keep: bool):
     """Grouped cross-correlation of a (C, H, W, N) input with an OIHW kernel
     on the live taps.
 
     `pad_h` and `pad_w` are (before, after) zero padding per axis; negative
     amounts crop. The batch is the innermost axis throughout, so each group
-    is one GEMM. Returns the (Cout, Hout, Wout, N) output, the column matrix
-    (groups, Cin/groups * kh * kw, Hout * Wout * N) over the live taps, and
+    is one GEMM per block of output rows. Returns the (Cout, Hout, Wout, N)
+    output, the column matrix (groups, Cin/groups * kh * kw,
+    Hout * Wout * N) over the live taps when `keep` is set (else None), and
     the geometry `(hout, wout, th, tw, ih, iw)`: live tap ranges `th`/`tw`
     and input ranges `ih`/`iw` as (start, stop) pairs.
     """
@@ -264,10 +278,28 @@ def _correlate(xt: np.ndarray, wd: np.ndarray, stride: int, pad_h: tuple,
     sc, sh, sw, sn = xs.strides
     win = as_strided(xs, (cin, kh, kw, hout, wout, n),
                      (sc, sh, sw, sh * stride, sw * stride, sn), writeable=False)
-    cols = np.ascontiguousarray(win).reshape(groups, cin_g * kh * kw, hout * wout * n)
     wm = wd[:, :, th0:th1, tw0:tw1].reshape(groups, cout // groups, cin_g * kh * kw)
-    out = np.matmul(wm, cols).reshape(cout, hout, wout, n)
-    return out, cols, (hout, wout, (th0, th1), (tw0, tw1), (ih0, ih1), (iw0, iw1))
+    out = np.empty((groups, cout // groups, hout * wout * n), np.result_type(wm, xs))
+    row_cols = wout * n
+    row_bytes = cin * kh * kw * row_cols * xs.itemsize
+    rows = hout
+    if (not keep and not win.flags.c_contiguous and row_cols % _BLOCK_ALIGN == 0
+            and hout * row_bytes > _BLOCK_ABOVE):
+        rows = max(1, _BLOCK_BYTES // row_bytes)
+    buf = None
+    for r0 in range(0, hout, rows):
+        blk = win[:, :, :, r0:r0 + rows]
+        if not blk.flags.c_contiguous:
+            if buf is None:
+                buf = np.empty(blk.size, xs.dtype)
+            part = buf[:blk.size].reshape(blk.shape)
+            part[...] = blk
+            blk = part
+        span = blk.shape[3] * row_cols
+        cols = blk.reshape(groups, cin_g * kh * kw, span)
+        np.matmul(wm, cols, out=out[:, :, r0 * row_cols:r0 * row_cols + span])
+    geom = (hout, wout, (th0, th1), (tw0, tw1), (ih0, ih1), (iw0, iw1))
+    return out.reshape(cout, hout, wout, n), (cols if keep else None), geom
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
@@ -285,7 +317,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     gradient is the forward correlation of the output gradient with the
     flipped, channel-swapped kernel, and at larger strides a scatter of the
     window gradients. The closure holds the column matrix until the one
-    backward pass that consumes the graph drops it.
+    backward pass that consumes the graph drops it; a conv whose weight
+    takes no gradient (every `no_grad` forward) keeps none, so a large one
+    is built in blocks of output rows.
     """
     xd, wd = x.data, weight.data
     if xd.ndim != 4 or wd.ndim != 4:
@@ -307,8 +341,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
         raise ShapeError("conv2d: kernel larger than padded input")
 
     p = padding
+    # Only the weight gradient reads the column matrix.
+    keep = _GRAD_MODE.enabled and weight.requires_grad
     out_t, cols, geom = _correlate(xd.transpose(1, 2, 3, 0), wd, stride, (p, p),
-                                   (p, p), groups)
+                                   (p, p), groups, keep=keep)
     hout, wout, (th0, th1), (tw0, tw1) = geom[:4]
     out_data = out_t.transpose(3, 0, 1, 2)
     if bias is not None:
@@ -354,7 +390,7 @@ def _conv_input_grad(gt: np.ndarray, wd: np.ndarray, stride: int, p: int,
         wf = wf.reshape(groups, og, cin_g, k, k).transpose(0, 2, 1, 3, 4)
         wf = wf.reshape(cin, og, k, k)
         q = k - 1 - p
-        gx = _correlate(gt, wf, 1, (q, q), (q, q), groups)[0]
+        gx = _correlate(gt, wf, 1, (q, q), (q, q), groups, keep=False)[0]
         return gx.transpose(3, 0, 1, 2)
     hout, wout, (th0, th1), (tw0, tw1), (ih0, ih1), (iw0, iw1) = geom
     kh, kw = th1 - th0, tw1 - tw0

@@ -30,6 +30,16 @@ def _fail(msg: str) -> int:
     return 2
 
 
+class _ArgumentError(Exception):
+    """An argparse usage error, raised instead of printing usage and exiting
+    so that `main` reports it as one `error:` line."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _ArgumentError(f"{self.prog}: {message}")
+
+
 def _out_dir(exp, args) -> Path:
     out = args.out or exp.output_dir
     if out is None:
@@ -164,7 +174,7 @@ def cmd_eval(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fedconv",
         description="Federated CNN ablation simulator")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -205,8 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _ArgumentError as e:
+        return _fail(str(e))
     if args.threads < 1:
         return _fail("--threads must be >= 1")
     try:

@@ -63,7 +63,7 @@ class ExperimentReport:
 
 
 def evaluate(model, images_u8: np.ndarray, labels: np.ndarray, *,
-             batch_size: int = 256, dtype=np.float32) -> float:
+             batch_size: int = 128, dtype=np.float32) -> float:
     """Global accuracy in percent: argmax over logits, eval-mode normalizers."""
     model.eval()
     correct = 0

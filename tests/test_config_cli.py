@@ -263,6 +263,32 @@ class TestCliFlopsSweepEval:
         assert named in lines[0] and "finite" in lines[0]
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv,named", [
+        (["flops", "--config", "CFG", "--calibrate", "-inf"], "--calibrate"),
+        (["sweep", "--config", "CFG", "--axis", "depth", "--values", "1"],
+         "--axis"),
+        (["train", "--config", "CFG", "--threads", "abc"], "--threads"),
+        (["train"], "--config")])
+    def test_argparse_usage_error_is_one_error_line(self, tmp_path, capsys,
+                                                    argv, named):
+        # argparse printed its multi-line `usage:` block before the error and
+        # left through SystemExit instead of returning.
+        cfg = write_config(tmp_path, base_doc())
+        assert main([cfg if a == "CFG" else a for a in argv]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+        assert named in lines[0]
+        assert captured.out == ""
+
+    def test_help_still_prints_usage_and_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--help"])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage:") and "--config" in captured.out
+        assert captured.err == ""
+
     def test_sweep_shares_partition_across_values(self, tmp_path):
         cfg = write_config(tmp_path, base_doc())
         main(["sweep", "--config", cfg, "--axis", "activation",

@@ -4,8 +4,13 @@ Forward values are compared with the six-loop oracle, gradients with central
 differences. Padding is drawn up to k + 1, so some cases crop the kernel to
 a few live taps and some make the stride-1 input gradient crop the output
 gradient (padding >= k). Batches of up to 3 keep a mix-up of the batch and
-space axes in the batch-innermost column layout from passing.
+space axes in the batch-innermost column layout from passing. Column
+matrices built in blocks of output rows must give bitwise the single-GEMM
+result, and the ResNet stem's forward-only peak memory stays bounded.
 """
+
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -58,9 +63,9 @@ COVERED = [
 ]
 
 
-def _covered(test):
+def _covered(test, **fixed):
     for case in COVERED:
-        test = example(case=case)(test)
+        test = example(case=case, **fixed)(test)
     return test
 
 
@@ -86,3 +91,81 @@ def test_conv2d_gradients_match_finite_differences(case):
                                      groups=case["groups"]),
         [x, w, b])
     assert err < 1e-6
+
+
+def _blocks(h, w, n, k, stride, padding):
+    """GEMMs `_correlate` runs with one output row per block: one per output
+    row when the windows need a copy and a row's columns are aligned, else
+    one. A single live tap at stride 1 is the input slab itself."""
+    hout, th0, th1 = ad._axis(h, k, padding, padding, stride)[:3]
+    wout, tw0, tw1 = ad._axis(w, k, padding, padding, stride)[:3]
+    copies = (th1 - th0, tw1 - tw0, stride) != (1, 1, 1)
+    return hout if copies and (wout * n) % ad._BLOCK_ALIGN == 0 else 1
+
+
+@settings(max_examples=200)
+@given(case=conv_cases(), batch=st.sampled_from([1, 64]),
+       dtype=st.sampled_from([np.float32, np.float64]))
+def test_column_blocks_match_single_gemm(case, batch, dtype):
+    # Batches scaled by 64 align every row, so most cases run one GEMM per
+    # output row; the others must fall back to one block.
+    case = dict(case, n=case["n"] * batch)
+    x, w, _ = _arrays(case)
+    x, w = x.astype(dtype), w.astype(dtype)
+    k, s, p = case["k"], case["stride"], case["padding"]
+    kw = dict(stride=s, padding=p, groups=case["groups"])
+    gy = np.random.default_rng(case["seed"] + 1).standard_normal(
+        ad.conv2d(Tensor(x), Tensor(w), **kw).shape).astype(dtype)
+
+    def run():
+        with mock.patch.object(np, "matmul", wraps=np.matmul) as mm:
+            with ad.no_grad():
+                y = ad.conv2d(Tensor(x), Tensor(w), **kw).data
+            fwd, mm.call_count = mm.call_count, 0
+            xt = Tensor(x, requires_grad=True)
+            out = ad.conv2d(xt, Tensor(w), **kw)
+            mm.call_count = 0
+            ad.weighted_sum(out, gy).backward()
+        return y, xt.grad, fwd, mm.call_count
+
+    # These matrices are far below the blocking size, so each is one GEMM.
+    y0, gx0, fwd0, bwd0 = run()
+    assert (fwd0, bwd0) == (1, 1)
+    with mock.patch.object(ad, "_BLOCK_ABOVE", 0), \
+            mock.patch.object(ad, "_BLOCK_BYTES", 1):
+        y1, gx1, fwd1, bwd1 = run()
+    assert y1.tobytes() == y0.tobytes()
+    assert gx1.tobytes() == gx0.tobytes()
+    h, w_, n = case["h"], case["w"], case["n"]
+    assert fwd1 == _blocks(h, w_, n, k, s, p)
+    if s == 1:
+        assert bwd1 == _blocks(y0.shape[2], y0.shape[3], n, k, 1, k - 1 - p)
+
+
+test_column_blocks_match_single_gemm = _covered(
+    test_column_blocks_match_single_gemm, batch=64, dtype=np.float32)
+
+
+def test_no_grad_resnet_stem_peak_memory_is_bounded():
+    # The 7x7 stride-2 stem on a 256-image eval batch: its whole column
+    # matrix is 38.5 MB, and a forward-only conv must not build it.
+    n, cin, size, cout, k, stride, p = 256, 3, 32, 16, 7, 2, 3
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((cin, size, size, n), dtype=np.float32)
+    w = rng.standard_normal((cout, cin, k, k), dtype=np.float32)
+    hout, _, _, start, stop = ad._axis(size, k, p, p, stride)
+    itemsize = x.itemsize
+    out_bytes = cout * hout * hout * n * itemsize
+    slab_bytes = cin * (stop - start) ** 2 * n * itemsize
+    row_bytes = cin * k * k * hout * n * itemsize
+    block_bytes = max(1, ad._BLOCK_BYTES // row_bytes) * row_bytes
+    xt, wt = Tensor(x.transpose(3, 0, 1, 2)), Tensor(w)
+    tracemalloc.start()
+    try:
+        with ad.no_grad():
+            y = ad.conv2d(xt, wt, stride=stride, padding=p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert y.shape == (n, cout, hout, hout)
+    assert peak < out_bytes + slab_bytes + 2 * block_bytes, peak

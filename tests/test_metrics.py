@@ -12,7 +12,8 @@ from hypothesis.extra import numpy as hnp
 from fedconv import autodiff as ad
 from fedconv import reporting
 from fedconv.autodiff import Tensor
-from fedconv.data import synth_dataset
+from fedconv.data import synth_dataset, to_input
+from fedconv.models import ArchConfig, Network
 from fedconv.reporting import (CheckpointError, ExperimentReport, RoundRecord,
                                evaluate, load_checkpoint, read_rounds_csv,
                                rounds_to_target, save_checkpoint, tms,
@@ -63,6 +64,35 @@ class TestEvaluate:
         model = FixedLogitsModel(lambda n: next(rows), 2)
         # argmax by hand: 0, 1, 0 -> two of three correct
         assert abs(evaluate(model, images, labels) - 100.0 * 2 / 3) < 1e-12
+
+    def test_accuracy_does_not_depend_on_batch_size(self):
+        # A BN + GELU model with a ResNet stem, whose column matrix is built
+        # in blocks above 64 images, in eval mode with trained-looking running
+        # statistics. Labelled with its own full-set predictions, it must
+        # score 100% at every batch size, so no prediction may move.
+        arch = ArchConfig(stem="resnet", block="normal", channels=(4, 8, 8, 8),
+                          depths=(1, 1, 1, 1), kernel_size=3, activation="gelu",
+                          act_placement="all", norm_placement="all",
+                          norm_kind="bn", num_classes=4, input_resolution=32)
+        model = Network(arch)
+        rng = np.random.default_rng(3)
+        model.init_params(rng)
+        state = model.state_dict()
+        for name, value in state.items():
+            if name.endswith("running_mean"):
+                value[...] = rng.normal(0.0, 0.5, value.shape)
+            elif name.endswith("running_var"):
+                value[...] = rng.uniform(0.5, 2.0, value.shape)
+        model.load_state_dict(state)
+        ds = synth_dataset(2, 4, 75, 32, "test")
+        with ad.no_grad():
+            own = model.eval().forward(Tensor(to_input(ds.images))).data.argmax(axis=1)
+        assert len(np.unique(own)) > 1
+        accs = {bs: evaluate(model, ds.images, ds.labels, batch_size=bs)
+                for bs in (16, 64, 128, 256)}
+        assert len(set(accs.values())) == 1, accs
+        for bs in accs:
+            assert evaluate(model, ds.images, own, batch_size=bs) == 100.0, bs
 
 
 class TestRoundsToTarget:
