@@ -241,49 +241,59 @@ def _slab(xt: np.ndarray, h0: int, h1: int, w0: int, w1: int) -> np.ndarray:
     return xs
 
 
-# A column matrix that the caller does not keep and that is larger than
-# _BLOCK_ABOVE bytes is built a few output rows at a time, in one reused
-# buffer of about _BLOCK_BYTES (at least one output row), and each block is
-# multiplied straight into the output. A block's column count must be a
-# multiple of _BLOCK_ALIGN so that the BLAS computes every output column as
-# the single GEMM would, bit for bit (OpenBLAS's Haswell kernels need 16).
-# Chosen by measurement: blocking smaller matrices made glibc's dynamic mmap
-# threshold fault the buffers in again on every call.
+# A column matrix larger than _BLOCK_ABOVE bytes is built a few output rows
+# at a time, in one reused buffer of about _BLOCK_BYTES (at least one output
+# row), and each block is multiplied straight into the output. A block's
+# column count must be a multiple of _BLOCK_ALIGN so that the BLAS computes
+# every output column as the single GEMM would, bit for bit (OpenBLAS's
+# Haswell kernels need 16). Chosen by measurement: blocking smaller matrices
+# made glibc's dynamic mmap threshold fault the buffers in again on every
+# call.
 _BLOCK_BYTES = 2 << 20
 _BLOCK_ABOVE = 16 << 20
 _BLOCK_ALIGN = 64
 
 
-def _correlate(xt: np.ndarray, wd: np.ndarray, stride: int, pad_h: tuple,
-               pad_w: tuple, groups: int, *, keep: bool):
-    """Grouped cross-correlation of a (C, H, W, N) input with an OIHW kernel
-    on the live taps.
+def _windows(xt: np.ndarray, kh: int, kw: int, stride: int, pad_h: tuple,
+             pad_w: tuple):
+    """Read-only (C, kh', kw', Hout, Wout, N) view of the correlation windows
+    of a (C, H, W, N) input over the live taps of a kh x kw kernel, and the
+    geometry `(hout, wout, th, tw, ih, iw)`: live tap ranges `th`/`tw` and
+    input ranges `ih`/`iw` as (start, stop) pairs.
 
     `pad_h` and `pad_w` are (before, after) zero padding per axis; negative
-    amounts crop. The batch is the innermost axis throughout, so each group
-    is one GEMM per block of output rows. Returns the (Cout, Hout, Wout, N)
-    output, the column matrix (groups, Cin/groups * kh * kw,
-    Hout * Wout * N) over the live taps when `keep` is set (else None), and
-    the geometry `(hout, wout, th, tw, ih, iw)`: live tap ranges `th`/`tw`
-    and input ranges `ih`/`iw` as (start, stop) pairs.
+    amounts crop. A 1x1 window over the whole input is the input itself, so
+    its view is C-contiguous and reshaping it copies nothing.
     """
     cin, h, w, n = xt.shape
-    cout, cin_g, kh, kw = wd.shape
     hout, th0, th1, ih0, ih1 = _axis(h, kh, *pad_h, stride)
     wout, tw0, tw1, iw0, iw1 = _axis(w, kw, *pad_w, stride)
-    kh, kw = th1 - th0, tw1 - tw0
     xs = _slab(xt, ih0, ih1, iw0, iw1)
-    # The (C, kh, kw, Hout, Wout, N) windows; a 1x1 window over the whole
-    # input is xs itself and copies nothing.
     sc, sh, sw, sn = xs.strides
-    win = as_strided(xs, (cin, kh, kw, hout, wout, n),
+    win = as_strided(xs, (cin, th1 - th0, tw1 - tw0, hout, wout, n),
                      (sc, sh, sw, sh * stride, sw * stride, sn), writeable=False)
+    return win, (hout, wout, (th0, th1), (tw0, tw1), (ih0, ih1), (iw0, iw1))
+
+
+def _correlate(xt: np.ndarray, wd: np.ndarray, stride: int, pad_h: tuple,
+               pad_w: tuple, groups: int):
+    """Grouped cross-correlation of a (C, H, W, N) input with an OIHW kernel
+    on the live taps of `_windows`.
+
+    The batch is the innermost axis throughout, so each group is one GEMM
+    per block of output rows. Returns the (Cout, Hout, Wout, N) output and
+    the `_windows` geometry.
+    """
+    cout, cin_g, kh, kw = wd.shape
+    win, geom = _windows(xt, kh, kw, stride, pad_h, pad_w)
+    cin, kh, kw, hout, wout, n = win.shape
+    (th0, th1), (tw0, tw1) = geom[2:4]
     wm = wd[:, :, th0:th1, tw0:tw1].reshape(groups, cout // groups, cin_g * kh * kw)
-    out = np.empty((groups, cout // groups, hout * wout * n), np.result_type(wm, xs))
+    out = np.empty((groups, cout // groups, hout * wout * n), np.result_type(wm, win))
     row_cols = wout * n
-    row_bytes = cin * kh * kw * row_cols * xs.itemsize
+    row_bytes = cin * kh * kw * row_cols * win.itemsize
     rows = hout
-    if (not keep and not win.flags.c_contiguous and row_cols % _BLOCK_ALIGN == 0
+    if (not win.flags.c_contiguous and row_cols % _BLOCK_ALIGN == 0
             and hout * row_bytes > _BLOCK_ABOVE):
         rows = max(1, _BLOCK_BYTES // row_bytes)
     buf = None
@@ -291,15 +301,14 @@ def _correlate(xt: np.ndarray, wd: np.ndarray, stride: int, pad_h: tuple,
         blk = win[:, :, :, r0:r0 + rows]
         if not blk.flags.c_contiguous:
             if buf is None:
-                buf = np.empty(blk.size, xs.dtype)
+                buf = np.empty(blk.size, win.dtype)
             part = buf[:blk.size].reshape(blk.shape)
             part[...] = blk
             blk = part
         span = blk.shape[3] * row_cols
         cols = blk.reshape(groups, cin_g * kh * kw, span)
         np.matmul(wm, cols, out=out[:, :, r0 * row_cols:r0 * row_cols + span])
-    geom = (hout, wout, (th0, th1), (tw0, tw1), (ih0, ih1), (iw0, iw1))
-    return out.reshape(cout, hout, wout, n), (cols if keep else None), geom
+    return out.reshape(cout, hout, wout, n), geom
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
@@ -311,15 +320,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     on a 2x2 map runs as 3x3); cropped taps get an exactly-zero weight
     gradient. Forward is im2col over those taps of the input read as
     (C, H, W, N), so the batch is innermost and every group is one GEMM over
-    batch and space; so is the weight gradient. The output and the input
-    gradient are (N, C, H, W) views of (C, H, W, N) memory, so a following
-    conv reads them without a transposing copy. At stride 1 the input
-    gradient is the forward correlation of the output gradient with the
-    flipped, channel-swapped kernel, and at larger strides a scatter of the
-    window gradients. The closure holds the column matrix until the one
-    backward pass that consumes the graph drops it; a conv whose weight
-    takes no gradient (every `no_grad` forward) keeps none, so a large one
-    is built in blocks of output rows.
+    batch and space; a large column matrix is built in blocks of output
+    rows. The output and the input gradient are (N, C, H, W) views of
+    (C, H, W, N) memory, so a following conv reads them without a
+    transposing copy. The closure keeps the input, not the column matrix:
+    the weight gradient rebuilds the whole matrix from it and is one GEMM per
+    group, and the matrix is dropped before the input gradient runs. So the
+    input must not be written in place between forward and backward. At
+    stride 1 the input gradient is the forward correlation of the output
+    gradient with the flipped, channel-swapped kernel, and at larger strides
+    a scatter of the window gradients.
     """
     xd, wd = x.data, weight.data
     if xd.ndim != 4 or wd.ndim != 4:
@@ -341,11 +351,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
         raise ShapeError("conv2d: kernel larger than padded input")
 
     p = padding
-    # Only the weight gradient reads the column matrix.
-    keep = _GRAD_MODE.enabled and weight.requires_grad
-    out_t, cols, geom = _correlate(xd.transpose(1, 2, 3, 0), wd, stride, (p, p),
-                                   (p, p), groups, keep=keep)
-    hout, wout, (th0, th1), (tw0, tw1) = geom[:4]
+    xt = xd.transpose(1, 2, 3, 0)
+    out_t, geom = _correlate(xt, wd, stride, (p, p), (p, p), groups)
     out_data = out_t.transpose(3, 0, 1, 2)
     if bias is not None:
         out_data += bias.data[None, :, None, None]
@@ -356,20 +363,35 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
         def _bwd():
             gt = np.ascontiguousarray(out.grad.transpose(1, 2, 3, 0))
             if weight.requires_grad:
-                gw = np.matmul(gt.reshape(groups, cout // groups, -1),
-                               cols.transpose(0, 2, 1))
-                gw = gw.reshape(cout, cin_g, th1 - th0, tw1 - tw0)
-                if gw.shape != wd.shape:
-                    full = np.zeros_like(wd)
-                    full[:, :, th0:th1, tw0:tw1] = gw
-                    gw = full
-                _accum(weight, gw)
+                _accum(weight, _conv_weight_grad(gt, xt, wd, stride, p, groups))
             if bias is not None and bias.requires_grad:
                 _accum(bias, out.grad.sum(axis=(0, 2, 3)))
             if x.requires_grad:
                 _accum(x, _conv_input_grad(gt, wd, stride, p, groups, geom, h, w))
         out._backward = _bwd
     return out
+
+
+def _conv_weight_grad(gt: np.ndarray, xt: np.ndarray, wd: np.ndarray,
+                      stride: int, p: int, groups: int) -> np.ndarray:
+    """Gradient of a conv2d with respect to its OIHW kernel, given the
+    (Cout, Hout, Wout, N) output gradient `gt` and the (C, H, W, N) input
+    `xt`. The whole column matrix is rebuilt from the input in one copy and
+    reduced in one GEMM per group; splitting that reduction into blocks of
+    output rows would change its summation order."""
+    cout, cin_g, kh, kw = wd.shape
+    win, geom = _windows(xt, kh, kw, stride, (p, p), (p, p))
+    hout, wout, (th0, th1), (tw0, tw1) = geom[:4]
+    # The column count is spelled out: with no live tap, -1 is ambiguous.
+    cols = win.reshape(groups, cin_g * (th1 - th0) * (tw1 - tw0),
+                       hout * wout * xt.shape[3])
+    gw = np.matmul(gt.reshape(groups, cout // groups, -1), cols.transpose(0, 2, 1))
+    gw = gw.reshape(cout, cin_g, th1 - th0, tw1 - tw0)
+    if gw.shape == wd.shape:
+        return gw
+    full = np.zeros_like(wd)
+    full[:, :, th0:th1, tw0:tw1] = gw
+    return full
 
 
 def _conv_input_grad(gt: np.ndarray, wd: np.ndarray, stride: int, p: int,
@@ -390,7 +412,7 @@ def _conv_input_grad(gt: np.ndarray, wd: np.ndarray, stride: int, p: int,
         wf = wf.reshape(groups, og, cin_g, k, k).transpose(0, 2, 1, 3, 4)
         wf = wf.reshape(cin, og, k, k)
         q = k - 1 - p
-        gx = _correlate(gt, wf, 1, (q, q), (q, q), groups, keep=False)[0]
+        gx = _correlate(gt, wf, 1, (q, q), (q, q), groups)[0]
         return gx.transpose(3, 0, 1, 2)
     hout, wout, (th0, th1), (tw0, tw1), (ih0, ih1), (iw0, iw1) = geom
     kh, kw = th1 - th0, tw1 - tw0

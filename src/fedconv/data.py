@@ -115,7 +115,9 @@ def synth_dataset(seed: int, num_classes: int, per_class: int,
             for c in range(3)])
         lo, hi = k * per_class, (k + 1) * per_class
         noise = rng.normal(0.0, 24.0, size=(per_class, 3, r, r))
-        images[lo:hi] = np.clip(pattern[None] + noise, 0, 255).astype(np.uint8)
+        np.add(pattern, noise, out=noise)
+        np.clip(noise, 0, 255, out=noise)
+        images[lo:hi] = noise
         labels[lo:hi] = k
     return Dataset(images, labels, split, num_classes)
 

@@ -1,9 +1,9 @@
 """Federated orchestration: clients, the round loop, and aggregation rules.
 
 Simulation is in-process: a round broadcasts the global state, runs every
-participating client's local update (optionally on a thread pool), aggregates
-in ascending client-id order, and evaluates the global model on a held-out
-test set.
+participating client's local update (on the calling thread and, with
+`threads` > 1, helper threads), aggregates in ascending client-id order, and
+evaluates the global model on a held-out test set.
 
 A client is state, not a model: its optimizer moments, data-order rng, step
 count and, under fedbn, its own batch-norm entries. A run keeps
@@ -22,8 +22,7 @@ can stand in for a Network, which keeps toy models testable.
 from __future__ import annotations
 
 import math
-import queue
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,29 +236,47 @@ def run_round(global_model: Network, global_state: dict, yogi, clients, *,
               test_set: Dataset, round_idx: int, epochs: int, batch_size: int,
               schedule: LrSchedule, agc_cfg: AGCConfig | None, dtype,
               threads: int = 1, all_client_sizes=None):
-    """Broadcast -> parallel local updates -> aggregate -> evaluate. Each
-    local update borrows one of the `workers` models (at least
-    min(threads, len(clients)) of them) and returns it when done."""
-    free = queue.SimpleQueue()
-    for model in workers:
-        free.put(model)
-    with StopWatch() as sw:
-        def one(client):
-            model = free.get()
-            try:
-                return local_update(client, model, global_state,
-                                    method=method, dataset=dataset,
-                                    epochs=epochs, batch_size=batch_size,
-                                    schedule=schedule, agc_cfg=agc_cfg,
-                                    dtype=dtype)
-            finally:
-                free.put(model)
+    """Broadcast -> parallel local updates -> aggregate -> evaluate.
 
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(one, clients))
-        else:
-            results = [one(c) for c in clients]
+    The calling thread and min(threads, len(clients)) - 1 helper threads
+    take clients from one shared queue, each on its own model from
+    `workers` (at least that many), and store results by client position.
+    The first exception a local update raises stops every thread from taking
+    another client and is raised here once all of them have stopped.
+    """
+    pending = iter(enumerate(clients))
+    results = [None] * len(clients)
+    errors = []
+    lock = threading.Lock()
+
+    def drain(model):
+        while True:
+            with lock:
+                item = None if errors else next(pending, None)
+            if item is None:
+                return
+            i, client = item
+            try:
+                results[i] = local_update(client, model, global_state,
+                                          method=method, dataset=dataset,
+                                          epochs=epochs, batch_size=batch_size,
+                                          schedule=schedule, agc_cfg=agc_cfg,
+                                          dtype=dtype)
+            except BaseException as exc:  # raised below once all threads stop
+                with lock:
+                    errors.append(exc)
+                return
+
+    with StopWatch() as sw:
+        helpers = [threading.Thread(target=drain, args=(model,))
+                   for model in workers[1:min(threads, len(clients))]]
+        for helper in helpers:
+            helper.start()
+        drain(workers[0])
+        for helper in helpers:
+            helper.join()
+        if errors:
+            raise errors[0]
 
         locals_ = [(cid, state, nk) for cid, state, nk, _ in results]
         if method.name == "fedbn":

@@ -3,6 +3,7 @@ and the learning-rate schedule."""
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -31,6 +32,8 @@ class LrSchedule:
 
 
 def lr_at(schedule: LrSchedule, global_step: int, steps_per_epoch: int) -> float:
+    """The learning rate of a step, as a Python float: NumPy 2 promotes a
+    float32 array times an np.float64 scalar to float64."""
     warm = schedule.warmup_epochs * steps_per_epoch
     total = schedule.total_epochs * steps_per_epoch
     if warm > 0 and global_step < warm:
@@ -38,7 +41,7 @@ def lr_at(schedule: LrSchedule, global_step: int, steps_per_epoch: int) -> float
     if total <= warm:
         return schedule.base_lr
     t = min(global_step, total) - warm
-    return schedule.base_lr * 0.5 * (1.0 + np.cos(np.pi * t / (total - warm)))
+    return schedule.base_lr * 0.5 * (1.0 + math.cos(math.pi * t / (total - warm)))
 
 
 def unitwise_norm(a: np.ndarray) -> np.ndarray:

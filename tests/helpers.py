@@ -3,9 +3,10 @@
 These deliberately avoid the package's im2col/matmul path: convolution is
 re-done with explicit window loops, FLOPs by literal per-tap enumeration,
 activation means under N(0, 1) by quadrature of scalar textbook formulas,
-label-distribution KS by scalar loops over class counts, and AGC and the
+label-distribution KS by scalar loops over class counts, AGC and the
 optimizer steps by per-tensor loops over separate arrays instead of the flat
-parameter arena.
+parameter arena, and synthetic images by the float64 expression the data
+module replaced with in-place operations.
 """
 
 import math
@@ -124,6 +125,29 @@ ACTIVATION_FORMULAS = {
     "silu": lambda z: z * 0.5 * (1.0 + math.tanh(0.5 * z)),
     "elu": lambda z: z if z > 0 else math.expm1(z),
 }
+
+
+def synth_images_oracle(seed, num_classes, per_class, resolution, split):
+    """The images of `fedconv.data.synth_dataset`, each class computed as
+    `np.clip(pattern + noise, 0, 255).astype(np.uint8)` with float64
+    temporaries, from the same rng draws in the same order."""
+    rng = np.random.default_rng([seed, {"train": 0, "test": 1}[split]])
+    r = resolution
+    yy, xx = np.meshgrid(np.arange(r), np.arange(r), indexing="ij")
+    images = np.empty((num_classes * per_class, 3, r, r), dtype=np.uint8)
+    for k in range(num_classes):
+        theta = math.pi * k / num_classes
+        freq = 1.5 + (k % 4)
+        phase_base = 2.0 * math.pi * k / num_classes
+        proj = (math.cos(theta) * xx + math.sin(theta) * yy) / r
+        pattern = np.stack([
+            127.5 + 90.0 * np.sin(2.0 * math.pi * freq * proj
+                                  + phase_base + c * 2.0 * math.pi / 3.0)
+            for c in range(3)])
+        noise = rng.normal(0.0, 24.0, size=(per_class, 3, r, r))
+        images[k * per_class:(k + 1) * per_class] = np.clip(
+            pattern[None] + noise, 0, 255).astype(np.uint8)
+    return images
 
 
 def mean_pairwise_ks_oracle(counts):

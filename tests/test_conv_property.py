@@ -105,8 +105,8 @@ def _blocks(h, w, n, k, stride, padding):
 
 @settings(max_examples=200)
 @given(case=conv_cases(), batch=st.sampled_from([1, 64]),
-       dtype=st.sampled_from([np.float32, np.float64]))
-def test_column_blocks_match_single_gemm(case, batch, dtype):
+       dtype=st.sampled_from([np.float32, np.float64]), wgrad=st.booleans())
+def test_column_blocks_match_single_gemm(case, batch, dtype, wgrad):
     # Batches scaled by 64 align every row, so most cases run one GEMM per
     # output row; the others must fall back to one block.
     case = dict(case, n=case["n"] * batch)
@@ -122,28 +122,53 @@ def test_column_blocks_match_single_gemm(case, batch, dtype):
             with ad.no_grad():
                 y = ad.conv2d(Tensor(x), Tensor(w), **kw).data
             fwd, mm.call_count = mm.call_count, 0
-            xt = Tensor(x, requires_grad=True)
-            out = ad.conv2d(xt, Tensor(w), **kw)
-            mm.call_count = 0
+            xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=wgrad)
+            out = ad.conv2d(xt, wt, **kw)
+            train_fwd, mm.call_count = mm.call_count, 0
             ad.weighted_sum(out, gy).backward()
-        return y, xt.grad, fwd, mm.call_count
+        return y, out.data, xt.grad, wt.grad, fwd, train_fwd, mm.call_count
 
-    # These matrices are far below the blocking size, so each is one GEMM.
-    y0, gx0, fwd0, bwd0 = run()
-    assert (fwd0, bwd0) == (1, 1)
+    # These matrices are far below the blocking size, so each is one GEMM,
+    # and the weight gradient is one more in the backward.
+    y0, t0, gx0, gw0, fwd0, tfwd0, bwd0 = run()
+    assert (fwd0, tfwd0, bwd0) == (1, 1, 1 + wgrad)
+    assert t0.tobytes() == y0.tobytes()
     with mock.patch.object(ad, "_BLOCK_ABOVE", 0), \
             mock.patch.object(ad, "_BLOCK_BYTES", 1):
-        y1, gx1, fwd1, bwd1 = run()
+        y1, t1, gx1, gw1, fwd1, tfwd1, bwd1 = run()
     assert y1.tobytes() == y0.tobytes()
+    assert t1.tobytes() == t0.tobytes()
     assert gx1.tobytes() == gx0.tobytes()
+    if wgrad:
+        assert gw1.tobytes() == gw0.tobytes()
     h, w_, n = case["h"], case["w"], case["n"]
-    assert fwd1 == _blocks(h, w_, n, k, s, p)
+    assert fwd1 == tfwd1 == _blocks(h, w_, n, k, s, p)
     if s == 1:
-        assert bwd1 == _blocks(y0.shape[2], y0.shape[3], n, k, 1, k - 1 - p)
+        assert bwd1 == _blocks(y0.shape[2], y0.shape[3], n, k, 1, k - 1 - p) + wgrad
 
 
 test_column_blocks_match_single_gemm = _covered(
-    test_column_blocks_match_single_gemm, batch=64, dtype=np.float32)
+    test_column_blocks_match_single_gemm, batch=64, dtype=np.float32, wgrad=True)
+
+
+def test_training_conv_keeps_no_column_matrix():
+    # fedconv_skew's stage-0 conv: depth-wise k9 over 8 channels at 8x8 with
+    # batch 32. Its column matrix (5.3 MB) is 81x its input; after a training
+    # forward only the output and the graph record may stay allocated.
+    n, c, size, k, p = 32, 8, 8, 9, 4
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((c, size, size, n), dtype=np.float32)
+    w = rng.standard_normal((c, 1, k, k), dtype=np.float32)
+    xt = Tensor(x.transpose(3, 0, 1, 2), requires_grad=True)
+    wt = Tensor(w, requires_grad=True)
+    tracemalloc.start()
+    try:
+        y = ad.conv2d(xt, wt, padding=p, groups=c)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert y.requires_grad and y.shape == (n, c, size, size)
+    assert held < 2 * y.data.nbytes, held
 
 
 def test_no_grad_resnet_stem_peak_memory_is_bounded():

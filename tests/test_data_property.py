@@ -1,7 +1,9 @@
-"""Property tests of label-distribution KS and the two partitioners.
+"""Property tests of the synthetic images, label-distribution KS and the
+two partitioners.
 
-KS values are compared with the scalar-loop oracle in `helpers`. Datasets
-carry 1x1 images: the partitioners read only the labels.
+Images are compared bytewise with the float64-temporary oracle and KS values
+with the scalar-loop oracle in `helpers`. Partition datasets carry 1x1
+images: the partitioners read only the labels.
 """
 
 import math
@@ -12,9 +14,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedconv.data import (DataError, Dataset, ks_two, mean_pairwise_ks,
-                          partition_iid, partition_label_skew)
+                          partition_iid, partition_label_skew, synth_dataset)
 
-from helpers import mean_pairwise_ks_oracle
+from helpers import mean_pairwise_ks_oracle, synth_images_oracle
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**31 - 1), num_classes=st.integers(1, 10),
+       per_class=st.integers(1, 6), resolution=st.integers(1, 33),
+       split=st.sampled_from(["train", "test"]))
+def test_synth_images_match_oracle(seed, num_classes, per_class, resolution, split):
+    got = synth_dataset(seed, num_classes, per_class, resolution, split).images
+    want = synth_images_oracle(seed, num_classes, per_class, resolution, split)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def _dataset(labels, num_classes):

@@ -1,5 +1,6 @@
 """Federated orchestration: local updates, aggregation rules, round loop."""
 
+import threading
 from collections import OrderedDict
 
 import numpy as np
@@ -431,6 +432,56 @@ class TestRunFederated:
         _, a = collect_states(exp1, threads=1)
         _, b = collect_states(exp2, threads=4)
         assert_states_equal(a, b, bitwise=True)
+
+    def test_calling_thread_trains_too(self, monkeypatch):
+        # `threads` counts the caller: two threads in all, the caller one.
+        idents = []
+        real = fed.local_update
+
+        def recording(*args, **kwargs):
+            idents.append(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fed, "local_update", recording)
+        run_federated(toy_experiment(**{"data.num_clients": 4, "fl.rounds": 1}),
+                      threads=2)
+        assert len(idents) == 4
+        assert threading.get_ident() in idents
+        assert len(set(idents)) <= 2
+
+    @pytest.mark.parametrize("on_caller", [True, False], ids=["caller", "helper"])
+    def test_client_error_stops_every_thread(self, on_caller, monkeypatch):
+        # Each thread's first update waits until both threads hold a client;
+        # then one raises and the other finishes its update, after which
+        # neither may take one of the two clients left.
+        caller = threading.get_ident()
+        both_in = threading.Barrier(2, timeout=30)
+        raised = threading.Event()
+        lock = threading.Lock()
+        started, seen = [], set()
+        real = fed.local_update
+
+        def failing(client, *args, **kwargs):
+            me = threading.get_ident()
+            with lock:
+                started.append(client.id)
+                first = me not in seen
+                seen.add(me)
+            if first:
+                both_in.wait()
+                if (me == caller) == on_caller:
+                    raised.set()
+                    raise NumericsError(f"client {client.id} diverged")
+                assert raised.wait(timeout=30)
+            return real(client, *args, **kwargs)
+
+        monkeypatch.setattr(fed, "local_update", failing)
+        before = threading.active_count()
+        with pytest.raises(NumericsError, match="diverged"):
+            run_federated(toy_experiment(**{"data.num_clients": 4, "fl.rounds": 1}),
+                          threads=2)
+        assert len(started) == 2
+        assert threading.active_count() == before
 
     def test_client_subsampling_is_seeded(self):
         over = {"data.num_clients": 4, "fl.clients_per_round": 2, "fl.rounds": 2}

@@ -262,3 +262,10 @@ class TestSchedule:
     def test_no_warmup_starts_at_base(self):
         s = LrSchedule(base_lr=0.3, warmup_epochs=0, total_epochs=4)
         assert lr_at(s, 0, 7) == 0.3
+
+    @pytest.mark.parametrize("step", [3, 25, 80], ids=["warmup", "cosine", "past_end"])
+    def test_lr_keeps_float32_updates_float32(self, step):
+        # NumPy 2 treats a Python float as a weak scalar and an np.float64
+        # as a float64 operand, which would run every update in float64.
+        s = LrSchedule(base_lr=0.1, warmup_epochs=1, total_epochs=5)
+        assert (lr_at(s, step, 10) * np.ones(3, np.float32)).dtype == np.float32
