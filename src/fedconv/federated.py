@@ -2,8 +2,17 @@
 
 Simulation is in-process: a round broadcasts the global state, runs every
 participating client's local update (on the calling thread and, with
-`threads` > 1, helper threads), aggregates in ascending client-id order, and
-evaluates the global model on a held-out test set.
+`threads` > 1, helper threads), and evaluates the global model on a
+held-out test set. Every method shares one aggregation core, FedAvg's
+sample-weighted mean, which a round sums as clients finish: a client's
+update is added to the running sum, straight from its worker's arena, as
+soon as every client with a lower id is in it, and one that finishes early
+is copied and held until its turn. The sum is therefore added in ascending
+client-id order whatever the thread timing, and a round holds the sum plus
+only the updates that finished early. The server step (the mean itself,
+fedbn's kept batch-norm entries or Yogi's adaptive step) then writes the
+global model once. The global state is views of that model's own arena and
+buffers, so the global weights exist once.
 
 A client is state, not a model: its optimizer moments, data-order rng, step
 count and, under fedbn, its own batch-norm entries. A run keeps
@@ -14,8 +23,8 @@ cannot change results.
 
 Client optimizer state persists across rounds and is never aggregated or
 reset. Any object exposing the small model surface used here (forward,
-named_parameters returning a `ParamArena`, zero_grad,
-state_dict/load_state_dict, train/eval, bn_param_names, head_param_names)
+named_parameters returning a `ParamArena`, named_buffers, zero_grad,
+load_state_dict, train/eval, bn_param_names, head_param_names)
 can stand in for a Network, which keeps toy models testable.
 """
 
@@ -23,6 +32,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,9 +46,10 @@ from .optim import AGCConfig, AdamW, LrSchedule, SGD, clip_model_grads, lr_at
 from .reporting import (ExperimentReport, RoundRecord, StopWatch, evaluate,
                         rounds_to_target, tms)
 
-__all__ = ["FLMethodConfig", "ClientState", "YogiState", "local_update",
-           "train_epochs", "aggregate_fedavg", "aggregate_fedbn",
-           "yogi_server_step", "run_round", "run_federated", "central_train"]
+__all__ = ["FLMethodConfig", "ClientState", "YogiState", "state_views",
+           "local_update", "train_epochs", "aggregate_fedavg",
+           "aggregate_fedbn", "yogi_server_step", "run_round",
+           "run_federated", "central_train"]
 
 FL_METHODS = ("fedavg", "fedprox", "share", "fedyogi", "fedbn")
 
@@ -93,6 +104,14 @@ class ClientState:
         return len(self.indices)
 
 
+def state_views(model) -> OrderedDict:
+    """The model's state in `state_dict` order without copies: each entry is
+    the model's own parameter view or buffer, so it changes with the model."""
+    views = OrderedDict((n, t.data) for n, t in model.named_parameters().items())
+    views.update(model.named_buffers())
+    return views
+
+
 # ---------------------------------------------------------------------------
 # local training
 # ---------------------------------------------------------------------------
@@ -145,7 +164,8 @@ def local_update(client: ClientState, model, global_state: dict, *,
     """One client's round on a worker `model`: load the broadcast state with
     the client's local entries over it, train with the persistent optimizer,
     store the local entries back, and return the final state and sample
-    count."""
+    count. The state is `state_views(model)`: read or copy it before the
+    worker trains again."""
     if client.n_k == 0:
         raise DataError(f"client {client.id} has an empty dataset")
     model.load_state_dict({**global_state, **client.local})
@@ -157,7 +177,7 @@ def local_update(client: ClientState, model, global_state: dict, *,
         model, client.optimizer, dataset, client.indices, client.rng,
         epochs=epochs, batch_size=batch_size, schedule=schedule,
         agc_cfg=agc_cfg, prox=prox, step_count=client.step_count, dtype=dtype)
-    state = model.state_dict()
+    state = state_views(model)
     for name, value in client.local.items():
         value[...] = state[name]
     return client.id, state, client.n_k, mean_loss
@@ -167,33 +187,40 @@ def local_update(client: ClientState, model, global_state: dict, *,
 # aggregation
 # ---------------------------------------------------------------------------
 
-def aggregate_fedavg(results) -> dict:
-    """Sample-count-weighted mean, summed in ascending client-id order."""
+def aggregate_fedavg(results, into: dict | None = None,
+                     total: float | None = None) -> dict:
+    """Sample-count-weighted mean of `results` ((client id, state, n_k)
+    triples), summed in ascending client-id order.
+
+    With `into`, the weighted terms are added to that running sum (empty
+    before its first client) and it is returned; `total` is then the sample
+    count of every client the sum will hold. Feeding one client at a time in
+    id order gives the one-call mean bit for bit: a first term is written as
+    the product itself, never added to zeros, so -0.0 keeps its sign."""
     if not results:
         raise ValueError("aggregate_fedavg: no client results")
     ordered = sorted(results, key=lambda r: r[0])
-    keys = list(ordered[0][1].keys())
-    for cid, state, _ in ordered[1:]:
+    out = {} if into is None else into
+    keys = list(out or ordered[0][1])
+    for cid, state, _ in ordered:
         if list(state.keys()) != keys:
             raise ValueError(f"client {cid}: mismatched parameter registry")
-    total = float(sum(nk for _, _, nk in ordered))
-    out = {}
-    for key in keys:
-        acc = None
-        for _, state, nk in ordered:
-            term = state[key] * (nk / total)
-            acc = term if acc is None else acc + term
-        out[key] = acc
+    if total is None:
+        total = float(sum(nk for _, _, nk in ordered))
+    for _, state, nk in ordered:
+        for key in keys:
+            if key in out:
+                out[key] += state[key] * (nk / total)
+            else:
+                out[key] = np.multiply(state[key], nk / total)
     return out
 
 
-def aggregate_fedbn(results, global_state: dict, bn_names: set[str]) -> dict:
-    """Weighted mean over everything except batch-norm entries, which keep
-    their previous global values (clients keep their own local copies)."""
-    merged = aggregate_fedavg(results)
-    for name in bn_names:
-        merged[name] = global_state[name].copy()
-    return merged
+def aggregate_fedbn(mean: dict, global_state: dict, bn_names: set[str]) -> dict:
+    """The clients' weighted `mean` with every batch-norm entry kept at its
+    previous global value (clients keep their own local copies)."""
+    return {name: global_state[name].copy() if name in bn_names else value
+            for name, value in mean.items()}
 
 
 class YogiState:
@@ -204,11 +231,10 @@ class YogiState:
         self.v = {n: np.full_like(global_state[n], tau * tau) for n in trainable_names}
 
 
-def yogi_server_step(yogi: YogiState, global_state: dict, results,
+def yogi_server_step(yogi: YogiState, global_state: dict, avg: dict,
                      method: FLMethodConfig) -> dict:
-    """Yogi update on the averaged client delta. Buffers (entries without
-    server moments) take the plain weighted mean."""
-    avg = aggregate_fedavg(results)
+    """Yogi update on the delta of the clients' weighted mean `avg`. Buffers
+    (entries without server moments) take the mean itself."""
     out = {}
     for name, g in global_state.items():
         if name not in yogi.m:
@@ -236,67 +262,108 @@ def run_round(global_model: Network, global_state: dict, yogi, clients, *,
               test_set: Dataset, round_idx: int, epochs: int, batch_size: int,
               schedule: LrSchedule, agc_cfg: AGCConfig | None, dtype,
               threads: int = 1, all_client_sizes=None):
-    """Broadcast -> parallel local updates -> aggregate -> evaluate.
+    """Broadcast -> parallel local updates folded into the weighted mean ->
+    server step -> evaluate. Returns `state_views(global_model)` and the
+    round's record.
 
     The calling thread and min(threads, len(clients)) - 1 helper threads
-    take clients from one shared queue, each on its own model from
-    `workers` (at least that many), and store results by client position.
-    The first exception a local update raises stops every thread from taking
-    another client and is raised here once all of them have stopped.
+    take clients in id order from one shared queue, each on its own model
+    from `workers` (at least that many). A finished update is added to the
+    running sum by `aggregate_fedavg` once every client with a lower id is
+    in it, read from the worker in place; one that finishes ahead of its
+    turn is copied and held, and the thread that adds its predecessor adds
+    it too. The first exception a local update raises stops every thread
+    from taking another client and is raised here once all of them have
+    stopped. `global_state` is read until every client is done; then the
+    server step writes the global model.
     """
-    pending = iter(enumerate(clients))
+    if not clients:
+        raise ValueError("run_round: no clients")
+    order = sorted(enumerate(clients), key=lambda item: item[1].id)
+    rank_of = {client.id: rank for rank, (_, client) in enumerate(order)}
+    pending = iter(order)
+    total = float(sum(c.n_k for c in clients))
     results = [None] * len(clients)
     errors = []
-    lock = threading.Lock()
+    lock = threading.Lock()        # hands out clients, collects errors
+    fold_lock = threading.Lock()   # guards `turn` and `held`
+    mean: dict = {}
+    held: dict = {}
+    turn = 0                       # rank of the next client to add
 
-    def drain(model):
-        while True:
-            with lock:
-                item = None if errors else next(pending, None)
-            if item is None:
-                return
+    def fold(cid, state, nk):
+        """Add the update of `cid` to `mean` in rank order: now, with every
+        held successor after it, if its turn has come; else as a held copy."""
+        nonlocal turn
+        rank = rank_of[cid]
+        with fold_lock:
+            mine = rank == turn
+        if not mine:
+            copy = {name: value.copy() for name, value in state.items()}
+            with fold_lock:
+                mine = rank == turn   # the predecessor may have been added
+                if not mine:
+                    held[rank] = (cid, copy, nk)
+                    return
+        entry = (cid, state, nk)
+        while entry is not None:
+            aggregate_fedavg([entry], into=mean, total=total)
+            with fold_lock:
+                turn = rank = rank + 1
+                entry = held.pop(rank, None)
+
+    def drain(model, item):
+        """Train `item` on `model`, then pending clients until none is left
+        or a thread has failed."""
+        while item is not None:
             i, client = item
             try:
-                results[i] = local_update(client, model, global_state,
-                                          method=method, dataset=dataset,
-                                          epochs=epochs, batch_size=batch_size,
-                                          schedule=schedule, agc_cfg=agc_cfg,
-                                          dtype=dtype)
+                cid, state, nk, loss = local_update(
+                    client, model, global_state, method=method,
+                    dataset=dataset, epochs=epochs, batch_size=batch_size,
+                    schedule=schedule, agc_cfg=agc_cfg, dtype=dtype)
+                fold(cid, state, nk)
+                results[i] = (cid, nk, loss)
             except BaseException as exc:  # raised below once all threads stop
                 with lock:
                     errors.append(exc)
                 return
+            with lock:
+                item = None if errors else next(pending, None)
 
     with StopWatch() as sw:
-        helpers = [threading.Thread(target=drain, args=(model,))
-                   for model in workers[1:min(threads, len(clients))]]
+        # Clients go out in id order and the caller takes the first, so the
+        # running sum is allocated by the calling thread, not a helper.
+        firsts = [next(pending) for _ in range(max(1, min(threads, len(clients))))]
+        helpers = [threading.Thread(target=drain, args=(model, item))
+                   for model, item in zip(workers[1:], firsts[1:])]
         for helper in helpers:
             helper.start()
-        drain(workers[0])
+        drain(workers[0], firsts[0])
         for helper in helpers:
             helper.join()
         if errors:
             raise errors[0]
 
-        locals_ = [(cid, state, nk) for cid, state, nk, _ in results]
         if method.name == "fedbn":
-            new_state = aggregate_fedbn(locals_, global_state,
+            new_state = aggregate_fedbn(mean, global_state,
                                         global_model.bn_param_names())
         elif method.name == "fedyogi":
-            new_state = yogi_server_step(yogi, global_state, locals_, method)
+            new_state = yogi_server_step(yogi, global_state, mean, method)
         else:
-            new_state = aggregate_fedavg(locals_)
-
+            new_state = mean
         global_model.load_state_dict(new_state)
+        # Evaluation reuses the memory of the mean and the server step.
+        del new_state
+        mean.clear()
         accuracy = evaluate(global_model, test_set.images, test_set.labels,
                             dtype=dtype)
     ordered = sorted(results, key=lambda r: r[0])
-    total = sum(nk for _, _, nk, _ in ordered)
-    mean_loss = sum(loss * nk for _, _, nk, loss in ordered) / total
+    mean_loss = sum(loss * nk for _, nk, loss in ordered) / total
     record = RoundRecord(round=round_idx, accuracy=accuracy, loss=mean_loss,
                          client_sizes=list(all_client_sizes or []),
                          seconds=sw.seconds)
-    return new_state, record
+    return state_views(global_model), record
 
 
 def _load_data(exp) -> tuple[Dataset, Dataset]:
@@ -348,9 +415,10 @@ def run_federated(exp, threads: int = 1, round_checkpoint=None,
                   capture: dict | None = None) -> ExperimentReport:
     """Execute the configured number of communication rounds (early-stopping
     at the target accuracy when one is set) and return the full report.
-    `round_checkpoint(round_idx, state)` is invoked after every evaluation;
-    `capture`, when given, receives the final state, model, and clients so a
-    caller can persist optimizer state."""
+    `round_checkpoint(round_idx, state)` is invoked after every evaluation
+    with `state_views` of the global model (copy them to keep a round's
+    state); `capture`, when given, receives the final state, model, and
+    clients so a caller can persist optimizer state."""
     method = exp.fl.method
     dtype = exp.dtype
     train, test = _load_data(exp)
@@ -360,7 +428,7 @@ def run_federated(exp, threads: int = 1, round_checkpoint=None,
 
     global_model = Network(exp.arch, dtype)
     global_model.init_params(np.random.default_rng([exp.seed, 11]))
-    global_state = global_model.state_dict()
+    global_state = state_views(global_model)
     trainable = list(global_model.named_parameters().keys())
     yogi = (YogiState(trainable, global_state, method.tau)
             if method.name == "fedyogi" else None)

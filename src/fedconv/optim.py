@@ -62,7 +62,9 @@ class ParamArena(dict):
     Tensor's `data` and `grad` is a view into `self.data` and `self.grad`.
     Optimizer steps, AGC, zero_grad and the proximal term are therefore
     single vector operations. Parameters must share one dtype and be written
-    in place; rebinding a Tensor's `data` or `grad` detaches it."""
+    in place; rebinding a Tensor's `data` or `grad` detaches it. An optimizer
+    step consumes `grad` (SGD uses it as scratch), so read gradients before
+    the step."""
 
     def __init__(self, named_tensors):
         super().__init__(named_tensors)
@@ -180,7 +182,11 @@ class AdamW(_Optimizer):
 
 class SGD(_Optimizer):
     """Plain SGD with an optional heavy-ball momentum buffer:
-    v <- momentum * v + g; param <- param - lr * v."""
+    v <- momentum * v + g; param <- param - lr * v.
+
+    A step allocates nothing: it scales the arena's gradient vector in place
+    as its scratch (bitwise equal to `w -= lr * v`), so it consumes `.grad`;
+    `zero_grad` resets it before the next backward."""
 
     slots = ("buf",)
 
@@ -193,9 +199,8 @@ class SGD(_Optimizer):
     def step(self, lr: float) -> None:
         self.t += 1
         w, g = self.params.data, self.params.grad
-        if self.buf is None:
-            w -= lr * g
-        else:
+        if self.buf is not None:
             self.buf *= self.momentum
             self.buf += g
-            w -= lr * self.buf
+        np.multiply(g if self.buf is None else self.buf, lr, out=g)
+        w -= g

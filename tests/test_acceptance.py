@@ -18,8 +18,8 @@ from fedconv.cli import main
 from fedconv.config import parse_experiment
 from fedconv.data import (mean_pairwise_ks, partition_iid,
                           partition_label_skew, synth_dataset)
-from fedconv.federated import (FLMethodConfig, YogiState, run_federated,
-                               train_epochs, yogi_server_step)
+from fedconv.federated import (FLMethodConfig, YogiState, aggregate_fedavg,
+                               run_federated, train_epochs, yogi_server_step)
 from fedconv.gradcheck import finite_diff_check
 from fedconv.layers import Conv2d, Linear
 from fedconv.models import (Network, count_flops, count_params,
@@ -221,7 +221,8 @@ def test_c06_fedyogi_unit_step():
     global_state = {"w": np.array([0.0])}
     yogi = YogiState(["w"], global_state, tau=0.05)
     out = yogi_server_step(yogi, global_state,
-                           [(0, {"w": np.array([0.1])}, 1)], method)
+                           aggregate_fedavg([(0, {"w": np.array([0.1])}, 1)]),
+                           method)
     # hand evaluation at 64-bit
     delta = 0.1
     m = (1.0 - 0.9) * delta

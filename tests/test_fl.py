@@ -1,6 +1,7 @@
 """Federated orchestration: local updates, aggregation rules, round loop."""
 
 import threading
+import tracemalloc
 from collections import OrderedDict
 
 import numpy as np
@@ -152,7 +153,7 @@ class TestAggregateFedbn:
     def test_no_bn_equals_fedavg(self):
         entries = [(0, {"w": np.array([1.0])}, 1), (1, {"w": np.array([3.0])}, 1)]
         plain = aggregate_fedavg(entries)
-        bn = aggregate_fedbn(entries, {"w": np.array([9.0])}, set())
+        bn = aggregate_fedbn(aggregate_fedavg(entries), {"w": np.array([9.0])}, set())
         assert np.array_equal(plain["w"], bn["w"])
 
     def test_bn_entries_keep_global_values(self):
@@ -161,7 +162,7 @@ class TestAggregateFedbn:
             (1, {"w": np.array([3.0]), "bn.gamma": np.array([7.0])}, 1),
         ]
         global_state = {"w": np.array([0.0]), "bn.gamma": np.array([1.0])}
-        out = aggregate_fedbn(entries, global_state, {"bn.gamma"})
+        out = aggregate_fedbn(aggregate_fedavg(entries), global_state, {"bn.gamma"})
         assert out["w"][0] == 2.0
         assert out["bn.gamma"][0] == 1.0  # untouched by averaging
 
@@ -170,7 +171,8 @@ class TestAggregateFedbn:
         reg = ["stem.w", "bn.gamma", "bn.beta", "bn.running_mean", "head.w"]
         bn_names = {"bn.gamma", "bn.beta", "bn.running_mean"}
         mk = lambda v: {n: np.array([v], dtype=np.float64) for n in reg}
-        out = aggregate_fedbn([(0, mk(0.0), 1), (1, mk(2.0), 1)], mk(-1.0), bn_names)
+        out = aggregate_fedbn(aggregate_fedavg([(0, mk(0.0), 1), (1, mk(2.0), 1)]),
+                             mk(-1.0), bn_names)
         for name in reg:
             assert out[name][0] == (-1.0 if name in bn_names else 1.0), name
 
@@ -186,14 +188,16 @@ class TestYogi:
         g = {"w": np.array([0.7])}
         yogi = YogiState(["w"], g, tau=0.05)
         for _ in range(5):
-            out = yogi_server_step(yogi, g, [(0, {"w": g["w"].copy()}, 3)], self.method())
+            out = yogi_server_step(yogi, g, aggregate_fedavg([(0, {"w": g["w"].copy()}, 3)]),
+                                   self.method())
             assert out["w"][0] == 0.7
             g = out
 
     def test_single_step_hand_value(self):
         g = {"w": np.array([0.0])}
         yogi = YogiState(["w"], g, tau=0.05)
-        out = yogi_server_step(yogi, g, [(0, {"w": np.array([0.1])}, 1)], self.method())
+        out = yogi_server_step(yogi, g, aggregate_fedavg([(0, {"w": np.array([0.1])}, 1)]),
+                               self.method())
         m = (1.0 - 0.9) * 0.1
         v = 0.05**2 - (1.0 - 0.99) * 0.1**2 * np.sign(0.05**2 - 0.1**2)
         expected = 0.0 + 1.0 * m / (np.sqrt(v) + 0.05)
@@ -203,7 +207,8 @@ class TestYogi:
         g = {"w": np.array([0.0])}
         yogi = YogiState(["w"], g, tau=10.0)  # v0 = 100 >> delta^2
         v_before = yogi.v["w"].copy()
-        yogi_server_step(yogi, g, [(0, {"w": np.array([0.1])}, 1)], self.method(tau=10.0))
+        yogi_server_step(yogi, g, aggregate_fedavg([(0, {"w": np.array([0.1])}, 1)]),
+                         self.method(tau=10.0))
         assert yogi.v["w"][0] < v_before[0]
 
     def test_v_stays_positive_across_rounds(self):
@@ -212,14 +217,14 @@ class TestYogi:
         yogi = YogiState(["w"], g, tau=0.05)
         for _ in range(50):
             local = {"w": g["w"] + rng.standard_normal(16) * 0.5}
-            g = yogi_server_step(yogi, g, [(0, local, 1)], self.method())
+            g = yogi_server_step(yogi, g, aggregate_fedavg([(0, local, 1)]), self.method())
             assert np.all(yogi.v["w"] > 0)
 
     def test_buffers_bypass_moments(self):
         g = {"w": np.array([0.0]), "buf": np.array([0.0])}
         yogi = YogiState(["w"], g, tau=0.05)
         local = {"w": np.array([0.1]), "buf": np.array([4.0])}
-        out = yogi_server_step(yogi, g, [(0, local, 1)], self.method())
+        out = yogi_server_step(yogi, g, aggregate_fedavg([(0, local, 1)]), self.method())
         assert out["buf"][0] == 4.0  # plain weighted mean
 
 
@@ -483,6 +488,44 @@ class TestRunFederated:
         assert len(started) == 2
         assert threading.active_count() == before
 
+    # Client 0 finishes only after every other client of its round, so each
+    # of them is held as a copy until client 0 is added to the mean.
+    @pytest.mark.parametrize("threads", [2, 3])
+    @pytest.mark.parametrize("over", [
+        {"fl.method": {"name": "fedavg"}},
+        {"fl.method": {"name": "fedprox", "mu": 0.01}},
+        {"fl.method": {"name": "fedyogi"}, "optimizer.kind": "sgd",
+         "optimizer.base_lr": 0.05},
+        {"fl.method": {"name": "fedbn"}, "arch.norm_kind": "bn",
+         "arch.norm_placement": "all"},
+        {"fl.method": {"name": "share", "fraction": 0.25}},
+    ], ids=["fedavg", "fedprox", "fedyogi", "fedbn", "share"])
+    def test_out_of_order_completion_keeps_results(self, over, threads,
+                                                   monkeypatch):
+        over = {**over, "data.num_clients": 4, "fl.rounds": 2}
+        _, want = collect_states(toy_experiment(**over), threads=1)
+
+        real = fed.local_update
+        others_done = threading.Event()
+        lock = threading.Lock()
+        finished = []
+
+        def client_zero_last(client, *args, **kwargs):
+            out = real(client, *args, **kwargs)
+            if client.id == 0:
+                assert others_done.wait(timeout=30)
+                others_done.clear()
+            with lock:
+                finished.append(client.id)
+                if len(finished) % 4 == 3:
+                    others_done.set()
+            return out
+
+        monkeypatch.setattr(fed, "local_update", client_zero_last)
+        _, got = collect_states(toy_experiment(**over), threads=threads)
+        assert finished[3::4] == [0, 0]
+        assert_states_equal(want, got, bitwise=True)
+
     def test_client_subsampling_is_seeded(self):
         over = {"data.num_clients": 4, "fl.clients_per_round": 2, "fl.rounds": 2}
         _, a = collect_states(toy_experiment(**over))
@@ -510,3 +553,46 @@ class TestRunFederated:
         assert len(report.records) == 1 or report.records[-1].accuracy >= 1.0
         assert report.rounds_to_target is not None
         assert report.tms == report.params * report.rounds_to_target
+
+
+class WideToyModel(ToyModel):
+    """ToyModel plus an unused 1 MiB parameter, so that a state copy costs
+    as much as a small real network."""
+
+    def __init__(self):
+        super().__init__()
+        self.pad = Tensor(np.zeros(1 << 17), requires_grad=True)
+        self._params = ParamArena([("head.weight", self.w), ("pad.weight", self.pad)])
+
+
+def test_round_memory_does_not_grow_with_clients():
+    # A round holds the running mean, not one state per client: K = 12
+    # equal-size clients must not raise traced memory by 3 model sizes.
+    k = 12
+    ds = synth_dataset(0, 2, 2 * k, 8)
+    global_model, worker = WideToyModel(), WideToyModel()
+    global_model.pad.data[...] = np.linspace(-1.0, 1.0, global_model.pad.data.size)
+    clients = [ClientState(cid, np.arange(4 * cid, 4 * cid + 4),
+                           SGD(worker.named_parameters()),
+                           np.random.default_rng([0, 101, cid]))
+               for cid in range(k)]
+    model_bytes = global_model.named_parameters().data.nbytes
+    assert model_bytes >= 1 << 20
+    global_state = global_model.state_dict()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fed.run_round(global_model, global_state, None, clients,
+                      workers=[worker], method=FLMethodConfig("fedavg"),
+                      dataset=ds, test_set=ds, round_idx=1, epochs=1,
+                      batch_size=4, schedule=flat_schedule(0.1), agc_cfg=None,
+                      dtype=np.float64, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 3 * model_bytes, (peak - base) / model_bytes
+    # Equal sizes and an untouched parameter: the mean equals the broadcast.
+    np.testing.assert_allclose(global_model.pad.data,
+                               np.linspace(-1.0, 1.0, global_model.pad.data.size),
+                               rtol=0, atol=1e-15)

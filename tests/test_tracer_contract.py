@@ -104,7 +104,7 @@ def test_traced_agc_sgd_fedyogi_train(tmp_path):
     # The AGC and SGD + fedyogi paths that two of the benchmark workloads
     # trace: clip_model_grads is wrapped to count clipped units through
     # optim.unitwise_norm on every named parameter.
-    doc = base_doc(**{"fl.method": {"name": "fedyogi"},
+    doc = base_doc(**{"fl.method": {"name": "fedyogi"}, "fl.rounds": 2,
                       "optimizer": {"kind": "sgd", "base_lr": 0.03,
                                     "warmup_epochs": 0, "total_epochs": 4,
                                     "momentum": 0.9,
@@ -116,3 +116,14 @@ def test_traced_agc_sgd_fedyogi_train(tmp_path):
     metrics = tracer.summary()["metrics"]
     assert metrics["optim.agc_s"] > 0 and metrics["optim.step_s"] > 0
     assert 0 < metrics["optim.agc_clip_frac"] <= 1
+    # run_round adds each client to the mean with its own aggregate_fedavg
+    # call: every round has aggregate spans, and their bytes sum to one
+    # state per participating client per round.
+    rounds = [span[0] for span in tracer.spans if span[1] == "federated.round"]
+    assert len(rounds) == doc["fl"]["rounds"]
+    parents = {span[4] for span in tracer.spans if span[1] == "federated.aggregate"}
+    assert set(rounds) <= parents
+    exp = parse_experiment(doc)
+    state_bytes = sum(v.nbytes for v in Network(exp.arch).state_dict().values())
+    assert (metrics["federated.aggregate_bytes"]
+            == len(rounds) * exp.data.num_clients * state_bytes)
