@@ -12,8 +12,8 @@ from .config import ExperimentConfig, load_config, parse_experiment
 from .data import (Dataset, ks_two, load_cifar10_binary, mean_pairwise_ks,
                    partition_iid, partition_label_skew, synth_dataset)
 from .federated import (ClientState, FLMethodConfig, aggregate_fedavg,
-                        aggregate_fedbn, central_train, local_update,
-                        run_federated, yogi_server_step)
+                        aggregate_fedbn, local_update, run_federated,
+                        yogi_server_step)
 from .models import (ArchConfig, Network, calibrate_depths, count_flops,
                      count_params, fedconv_config, fedconv_tiny_config,
                      mean_activation_stat, resnet_m_config)

@@ -1,7 +1,9 @@
 """Command-line runner binding config files to experiments.
 
-Subcommands: train, central, partition, flops, sweep, eval. Every error path
-prints a single machine-parseable line prefixed `error:` and exits nonzero.
+Subcommands: train, central, partition, flops, sweep, eval. `central` has no
+training loop of its own: it is a one-client fedavg run of `run_federated`,
+built from the user's config by `_central`. Every error path prints a single
+machine-parseable line prefixed `error:` and exits nonzero.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 from .autodiff import NumericsError
 from .config import ConfigValidationError, load_config, parse_experiment
 from .data import DataError, label_histograms
-from .federated import _build_partition, _load_data, central_train, run_federated
+from .federated import FLMethodConfig, _build_partition, _load_data, run_federated
 from .models import ConfigError, Network, calibrate_depths, count_flops, count_params
 from .reporting import (CheckpointError, evaluate, load_checkpoint,
                         save_checkpoint, write_atomic, write_report)
@@ -59,11 +61,9 @@ def _load(args):
 
 def _final_checkpoint(out_dir: Path, capture: dict) -> None:
     entries = {f"model.{n}": v for n, v in capture["state"].items()}
-    optimizers = [(f"client{c.id}.", c.optimizer) for c in capture.get("clients", ())]
-    if "optimizer" in capture:
-        optimizers.append(("", capture["optimizer"]))
-    for prefix, opt in optimizers:
-        entries.update((f"opt.{prefix}{k}", v) for k, v in opt.state_dict().items())
+    for c in capture["clients"]:
+        entries.update((f"opt.client{c.id}.{k}", v)
+                       for k, v in c.optimizer.state_dict().items())
     save_checkpoint(entries, out_dir / "checkpoint")
 
 
@@ -74,19 +74,35 @@ def _round_writer(out_dir: Path):
     return write
 
 
+def _central(exp):
+    """The `central` run as a federated config: one client holding the whole
+    training set, plain fedavg, and one local epoch per round over
+    rounds x local_epochs rounds, at the client lr of the user's method."""
+    optimizer = exp.optimizer
+    if exp.fl.method.name == "fedyogi":
+        optimizer = replace(optimizer, base_lr=exp.fl.method.eta_client)
+    fl = replace(exp.fl, method=FLMethodConfig("fedavg"), local_epochs=1,
+                 rounds=exp.fl.rounds * exp.fl.local_epochs,
+                 clients_per_round=None)
+    data = replace(exp.data, num_clients=1, partition_kind="iid")
+    return replace(exp, fl=fl, optimizer=optimizer, data=data)
+
+
 def cmd_train(args) -> int:
-    """`train` runs the federated rounds; `central` trains one model on the
-    pooled training set with the same outputs."""
+    """`train` runs the federated rounds; `central` runs the same loop on
+    `_central`'s one-client config. Its report echoes the user's config, with
+    no partition KS, and each of its rounds is one epoch over the pooled
+    training set."""
     exp = _load(args)
     out_dir = _out_dir(exp, args)
     out_dir.mkdir(parents=True, exist_ok=True)
     capture: dict = {}
     hook = _round_writer(out_dir) if exp.save_round_checkpoints else None
-    if args.command == "central":
-        report = central_train(exp, round_checkpoint=hook, capture=capture)
-    else:
-        report = run_federated(exp, threads=args.threads, round_checkpoint=hook,
-                               capture=capture)
+    central = args.command == "central"
+    report = run_federated(_central(exp) if central else exp, threads=args.threads,
+                           round_checkpoint=hook, capture=capture)
+    if central:
+        report = replace(report, partition_mean_ks=None)
     write_report(report, out_dir)
     _final_checkpoint(out_dir, capture)
     print(f"final_accuracy {report.final_accuracy:.4f}")
@@ -135,11 +151,17 @@ def cmd_sweep(args) -> int:
     exp = _load(args)
     out_dir = _out_dir(exp, args)
     cells = []  # every cell's config is validated before the first one runs
+    seen = set()
     for value in args.values:
         doc = copy.deepcopy(exp.raw)
         # A non-decimal kernel size stays a string, which validation rejects.
-        doc["arch"][args.axis] = (int(value) if args.axis == "kernel_size"
-                                  and value.isdecimal() else value)
+        cell = (int(value) if args.axis == "kernel_size" and value.isdecimal()
+                else value)
+        if cell in seen:
+            raise ConfigValidationError(
+                [f"--values: {args.axis} {cell!r} is given twice"])
+        seen.add(cell)
+        doc["arch"][args.axis] = cell
         cells.append((value, parse_experiment(doc)))
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []

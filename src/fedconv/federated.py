@@ -49,7 +49,7 @@ from .reporting import (ExperimentReport, RoundRecord, StopWatch, evaluate,
 __all__ = ["FLMethodConfig", "ClientState", "YogiState", "state_views",
            "local_update", "train_epochs", "aggregate_fedavg",
            "aggregate_fedbn", "yogi_server_step", "run_round",
-           "run_federated", "central_train"]
+           "run_federated"]
 
 FL_METHODS = ("fedavg", "fedprox", "share", "fedyogi", "fedbn")
 
@@ -399,8 +399,8 @@ def _make_schedule(optim_cfg, method: FLMethodConfig) -> LrSchedule:
     return LrSchedule(base, optim_cfg.warmup_epochs, optim_cfg.total_epochs)
 
 
-def _report(exp, records: list[RoundRecord], ks: float | None) -> ExperimentReport:
-    """The report of a finished run; `ks` is None for a centralized run."""
+def _report(exp, records: list[RoundRecord], ks: float) -> ExperimentReport:
+    """The report of a finished run; `ks` is its partition's mean KS."""
     params = count_params(exp.arch)
     rtt = (rounds_to_target(records, exp.target_accuracy)
            if exp.target_accuracy is not None else None)
@@ -478,42 +478,3 @@ def run_federated(exp, threads: int = 1, round_checkpoint=None,
         capture.update(state=global_state, model=global_model, clients=clients)
     return _report(exp, records, ks)
 
-
-def central_train(exp, round_checkpoint=None,
-                  capture: dict | None = None) -> ExperimentReport:
-    """Train one model on the pooled training set with the same schedule and
-    rng derivations as a single federated client; the report shape matches
-    the federated one with rounds standing in for epochs."""
-    dtype = exp.dtype
-    train, test = _load_data(exp)
-    model = Network(exp.arch, dtype)
-    model.init_params(np.random.default_rng([exp.seed, 11]))
-    optimizer = _make_optimizer(exp.optimizer, model.named_parameters())
-    rng = np.random.default_rng([exp.seed, 101, 0])
-    schedule = _make_schedule(exp.optimizer, exp.fl.method)
-    indices = np.arange(len(train))
-
-    with StopWatch() as sw0:
-        acc0 = evaluate(model, test.images, test.labels, dtype=dtype)
-    records = [RoundRecord(0, acc0, None, [len(train)], sw0.seconds)]
-    if round_checkpoint:
-        round_checkpoint(0, model.state_dict())
-
-    step_count = 0
-    epochs = exp.fl.rounds * exp.fl.local_epochs
-    for e in range(1, epochs + 1):
-        with StopWatch() as sw:
-            step_count, mean_loss = train_epochs(
-                model, optimizer, train, indices, rng, epochs=1,
-                batch_size=exp.fl.batch_size, schedule=schedule,
-                agc_cfg=exp.optimizer.agc, step_count=step_count, dtype=dtype)
-            acc = evaluate(model, test.images, test.labels, dtype=dtype)
-        records.append(RoundRecord(e, acc, mean_loss, [len(train)], sw.seconds))
-        if round_checkpoint:
-            round_checkpoint(e, model.state_dict())
-        if exp.target_accuracy is not None and acc >= exp.target_accuracy:
-            break
-
-    if capture is not None:
-        capture.update(state=model.state_dict(), model=model, optimizer=optimizer)
-    return _report(exp, records, None)

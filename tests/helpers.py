@@ -5,16 +5,22 @@ re-done with explicit window loops, FLOPs by literal per-tap enumeration,
 activation means under N(0, 1) by quadrature of scalar textbook formulas,
 label-distribution KS by scalar loops over class counts, AGC and the
 optimizer steps by per-tensor loops over separate arrays instead of the flat
-parameter arena, and synthetic images by the float64 expression the data
-module replaced with in-place operations.
+parameter arena, synthetic images by the float64 expression the data
+module replaced with in-place operations, and centralized training by a
+plain epoch loop over one model, without clients, workers or aggregation.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from fedconv.autodiff import Tensor
+from fedconv.federated import (_load_data, _make_optimizer, _make_schedule,
+                               _report, train_epochs)
+from fedconv.models import Network
 from fedconv.optim import ParamArena, clip_model_grads, unitwise_norm
+from fedconv.reporting import RoundRecord, StopWatch, evaluate
 
 
 def naive_conv2d(x, w, b=None, stride=1, padding=1, groups=1):
@@ -240,3 +246,45 @@ class LoopSGD:
                 p -= lr * b
             else:
                 p -= lr * g
+
+
+def central_train(exp, round_checkpoint=None, capture=None):
+    """Centralized training oracle: one model trained on the pooled training
+    set, one epoch per round for rounds x local_epochs rounds, with the
+    schedule and rng derivations of a single federated client (model init
+    [seed, 11], data order [seed, 101, 0]) and the client lr of the
+    configured method. Returns the report with `partition_mean_ks` None;
+    `round_checkpoint(r, state)` gets copies of the state after every
+    evaluation, and `capture` receives the final state, model and optimizer."""
+    dtype = exp.dtype
+    train, test = _load_data(exp)
+    model = Network(exp.arch, dtype)
+    model.init_params(np.random.default_rng([exp.seed, 11]))
+    optimizer = _make_optimizer(exp.optimizer, model.named_parameters())
+    rng = np.random.default_rng([exp.seed, 101, 0])
+    schedule = _make_schedule(exp.optimizer, exp.fl.method)
+    indices = np.arange(len(train))
+
+    with StopWatch() as sw0:
+        acc0 = evaluate(model, test.images, test.labels, dtype=dtype)
+    records = [RoundRecord(0, acc0, None, [len(train)], sw0.seconds)]
+    if round_checkpoint:
+        round_checkpoint(0, model.state_dict())
+
+    step_count = 0
+    for e in range(1, exp.fl.rounds * exp.fl.local_epochs + 1):
+        with StopWatch() as sw:
+            step_count, mean_loss = train_epochs(
+                model, optimizer, train, indices, rng, epochs=1,
+                batch_size=exp.fl.batch_size, schedule=schedule,
+                agc_cfg=exp.optimizer.agc, step_count=step_count, dtype=dtype)
+            acc = evaluate(model, test.images, test.labels, dtype=dtype)
+        records.append(RoundRecord(e, acc, mean_loss, [len(train)], sw.seconds))
+        if round_checkpoint:
+            round_checkpoint(e, model.state_dict())
+        if exp.target_accuracy is not None and acc >= exp.target_accuracy:
+            break
+
+    if capture is not None:
+        capture.update(state=model.state_dict(), model=model, optimizer=optimizer)
+    return replace(_report(exp, records, 0.0), partition_mean_ks=None)

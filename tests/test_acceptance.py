@@ -27,7 +27,8 @@ from fedconv.models import (Network, count_flops, count_params,
 from fedconv.optim import AGCConfig, AdamW, LrSchedule, unitwise_norm
 from fedconv.reporting import evaluate, load_checkpoint, save_checkpoint, tms
 
-from helpers import ACTIVATION_FORMULAS, arena_clip, loop_conv2d, std_normal_mean
+from helpers import (ACTIVATION_FORMULAS, arena_clip, central_train,
+                     loop_conv2d, std_normal_mean)
 
 
 def ok(num: int, name: str) -> None:
@@ -152,7 +153,9 @@ def test_c02_convolution_oracle():
 
 def test_c03_fl_degenerate_oracle(tmp_path):
     """1-client FedAVG for 3 rounds == centralized training for 3 epochs,
-    bitwise over the whole parameter trajectory, through the CLI."""
+    bitwise over the whole parameter trajectory: the CLI's `train` and
+    `central` round checkpoints against each other and against the
+    pooled-data oracle."""
     doc = fedconv_tiny_doc(rounds=3, **{
         "data.num_clients": 1, "save_round_checkpoints": True,
         "optimizer.total_epochs": 3})
@@ -162,6 +165,10 @@ def test_c03_fl_degenerate_oracle(tmp_path):
                  "--out", str(tmp_path / "fl")]) == 0
     assert main(["central", "--config", str(cfg_path),
                  "--out", str(tmp_path / "central")]) == 0
+    oracle = {}
+    central_train(parse_experiment(doc),
+                  round_checkpoint=lambda r, s: oracle.update({r: s}))
+    assert sorted(oracle) == list(range(4))
     for r in range(4):
         a = (tmp_path / "fl" / f"round_{r:04d}.blob").read_bytes()
         b = (tmp_path / "central" / f"round_{r:04d}.blob").read_bytes()
@@ -169,13 +176,17 @@ def test_c03_fl_degenerate_oracle(tmp_path):
         am = (tmp_path / "fl" / f"round_{r:04d}.manifest").read_bytes()
         bm = (tmp_path / "central" / f"round_{r:04d}.manifest").read_bytes()
         assert am == bm
+        save_checkpoint({f"model.{n}": v for n, v in oracle[r].items()},
+                        tmp_path / "oracle" / f"round_{r:04d}")
+        assert (tmp_path / "oracle" / f"round_{r:04d}.blob").read_bytes() == b, \
+            f"round {r} diverged from the oracle"
+        assert (tmp_path / "oracle" / f"round_{r:04d}.manifest").read_bytes() == bm
     ok(3, "FL degenerate oracle")
 
 
 def test_c04_fl_linearity_oracle():
     """K=4 clients, one full-batch SGD step each, FedAVG weighted by n_k ==
     one centralized full-batch step on the pooled data (64-bit, < 1e-6)."""
-    from fedconv.federated import central_train
     doc = fedconv_tiny_doc(rounds=1, **{
         "fl.batch_size": 100000, "optimizer.kind": "sgd",
         "optimizer.base_lr": 0.05, "optimizer.agc": None, "dtype": "f64",

@@ -7,6 +7,9 @@ import pytest
 
 from fedconv.cli import main
 from fedconv.config import ConfigValidationError, parse_experiment
+from fedconv.reporting import save_checkpoint, write_report
+
+from helpers import central_train
 
 
 def base_doc(**over):
@@ -39,6 +42,29 @@ def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+def same_files(a, b, names):
+    return all((a / n).read_bytes() == (b / n).read_bytes() for n in names)
+
+
+# Tiny configs on which `fedconv central` must reproduce the oracle.
+CENTRAL_CASES = {
+    "adamw_agc_round_checkpoints": {
+        "optimizer.agc": {"clipping": 0.01}, "save_round_checkpoints": True,
+        "fl.rounds": 2},
+    "local_epochs_2": {"fl.local_epochs": 2, "fl.rounds": 2},
+    "sgd_momentum": {"optimizer.kind": "sgd", "optimizer.momentum": 0.9,
+                     "optimizer.base_lr": 0.01},
+    "bn": {"arch.norm_kind": "bn", "arch.norm_placement": "all"},
+    "fedyogi": {"fl.method": {"name": "fedyogi", "eta_client": 0.02}},
+    # Reaches the target at round 2 of 4, so the run stops early.
+    "target_accuracy": {"target_accuracy": 50, "fl.rounds": 4,
+                        "optimizer.base_lr": 0.003},
+    "skew_sampled": {"data.num_clients": 4, "fl.clients_per_round": 2,
+                     "data.partition": {"kind": "label_skew", "target_ks": 0.5,
+                                        "tolerance": 0.05}},
+}
 
 
 class TestValidation:
@@ -166,6 +192,32 @@ class TestCliTrain:
         assert doc["partition_mean_ks"] is None
         assert len(doc["records"]) == 2  # round 0 + one epoch
 
+    @pytest.mark.parametrize("over", CENTRAL_CASES.values(), ids=CENTRAL_CASES)
+    def test_central_matches_oracle(self, tmp_path, over):
+        # `central` is a one-client federated run; the pooled-data epoch loop
+        # in the oracle must give the same report and checkpoints byte for byte.
+        doc = base_doc(**over)
+        cfg = write_config(tmp_path, doc)
+        got, want = tmp_path / "c", tmp_path / "oracle"
+        assert main(["central", "--config", cfg, "--out", str(got)]) == 0
+        rounds, capture = {}, {}
+        report = central_train(parse_experiment(doc), capture=capture,
+                               round_checkpoint=lambda r, s: rounds.update({r: s}))
+        write_report(report, want)
+        assert same_files(got, want, ["report.json"])
+        entries = {f"model.{n}": v for n, v in capture["state"].items()}
+        entries.update((f"opt.client0.{k}", v)
+                       for k, v in capture["optimizer"].state_dict().items())
+        save_checkpoint(entries, want / "checkpoint")
+        assert same_files(got, want, ["checkpoint.manifest", "checkpoint.blob"])
+        if doc.get("save_round_checkpoints"):
+            for r, state in rounds.items():
+                save_checkpoint({f"model.{n}": v for n, v in state.items()},
+                                want / f"round_{r:04d}")
+        saved = sorted(p.name for p in got.glob("round_*"))
+        assert saved == sorted(p.name for p in want.glob("round_*"))
+        assert same_files(got, want, saved)
+
 
 class TestCliPartition:
     def test_iid_prints_zero_ks(self, tmp_path, capsys):
@@ -228,11 +280,13 @@ class TestCliFlopsSweepEval:
         assert (tmp_path / "s" / "sweep_kernel_size_3" / "report.json").exists()
 
     @pytest.mark.parametrize("values", [["abc"], ["3", "4"], ["3", "abc"],
-                                        ["3", "2.5"]])
+                                        ["3", "2.5"], ["3", "3"],
+                                        ["3", "5", "3"], ["3", "03"]])
     def test_sweep_bad_value_is_one_error_line_and_runs_nothing(
             self, tmp_path, capsys, values):
         # A non-integer kernel size died in a ValueError traceback, and an
         # invalid one (even) was rejected only after the earlier cells ran.
+        # A repeated one ran its cell twice and wrote its sweep.csv row twice.
         cfg = write_config(tmp_path, base_doc())
         out = tmp_path / "s"
         code = main(["sweep", "--config", cfg, "--axis", "kernel_size",

@@ -14,10 +14,12 @@ from fedconv.config import parse_experiment
 from fedconv.data import DataError, synth_dataset, to_input
 from fedconv.federated import (ClientState, FLMethodConfig, YogiState,
                                aggregate_fedavg, aggregate_fedbn,
-                               apply_prox_grads, central_train, local_update,
-                               run_federated, train_epochs, yogi_server_step)
+                               apply_prox_grads, local_update, run_federated,
+                               train_epochs, yogi_server_step)
 from fedconv.models import Network
 from fedconv.optim import LrSchedule, ParamArena, SGD
+
+from helpers import central_train
 
 
 class ToyModel:
