@@ -204,16 +204,17 @@ def _client_preferences(num_clients: int, num_classes: int) -> np.ndarray:
 
 
 def partition_label_skew(dataset: Dataset, num_clients: int, target_ks: float,
-                         tolerance: float, seed: int,
-                         max_iter: int = 60) -> dict[int, np.ndarray]:
+                         tolerance: float, seed: int) -> dict[int, np.ndarray]:
     """Label-skew split hitting a target mean pairwise KS.
 
-    Client label proportions come from a one-parameter family mixing the
-    uniform distribution with disjoint per-client class blocks; less uniform
-    mass means more skew. The mixing parameter is bisected until the
-    proportions' mean KS is within half the tolerance of the target, then
-    sample indices are assigned per class by largest-remainder rounding.
-    The realized partition is re-measured and must land within `tolerance`.
+    Client label proportions mix the uniform distribution with disjoint
+    per-client class blocks: `(1 - beta) * uniform + beta * blocks`. Uniform
+    rows cancel in every pairwise CDF gap, so the proportions' mean KS is
+    exactly `beta` times that of the blocks, and `beta` is the target over
+    that reachable maximum (capped at 1). Sample indices are then assigned
+    per class by largest-remainder rounding. The realized partition is
+    re-measured and must land within `tolerance` of the target; a target
+    more than `tolerance` above the maximum is refused up front.
     """
     if not (0.0 <= target_ks < 1.0 + 1e-12):
         raise DataError("target_ks must be in [0, 1]")
@@ -227,30 +228,14 @@ def partition_label_skew(dataset: Dataset, num_clients: int, target_ks: float,
     c = dataset.num_classes
     uniform = np.full((num_clients, c), 1.0 / c)
     prefs = _client_preferences(num_clients, c)
-
-    def props_at(beta: float) -> np.ndarray:
-        return (1.0 - beta) * uniform + beta * prefs
-
-    if _mean_ks(props_at(1.0)) + tolerance < target_ks:
+    ks_max = _mean_ks(prefs)
+    if ks_max + tolerance < target_ks:
         raise DataError(
             f"target mean KS {target_ks} unreachable with {num_clients} clients "
-            f"and {c} classes")
+            f"and {c} classes (at most {ks_max:.4f})")
 
-    lo, hi = 0.0, 1.0
-    beta = 1.0
-    for _ in range(max_iter):
-        beta = 0.5 * (lo + hi)
-        ks = _mean_ks(props_at(beta))
-        if abs(ks - target_ks) <= 0.5 * tolerance:
-            break
-        if ks < target_ks:
-            lo = beta
-        else:
-            hi = beta
-    else:
-        raise DataError("bisection failed to reach the target mean KS")
-
-    props = props_at(beta)
+    beta = target_ks / max(ks_max, target_ks)
+    props = (1.0 - beta) * uniform + beta * prefs
     rng = np.random.default_rng([seed, 29])
     order, owner = [], []
     for k in range(c):

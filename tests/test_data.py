@@ -170,6 +170,23 @@ class TestPartitionLabelSkew:
         realized = mean_pairwise_ks(part, ds.labels, 10)
         assert abs(realized - target) <= 0.05
 
+    @pytest.mark.parametrize("target", [0.49, 0.57])
+    def test_paper_scale_targets_hit_up_to_rounding(self, target):
+        # The mixing weight is exact, so only per-class rounding of 500
+        # samples separates the realized KS from the target.
+        ds = synth_dataset(1, 10, 500, 32)
+        part = partition_label_skew(ds, 5, target_ks=target, tolerance=0.02, seed=2)
+        realized = mean_pairwise_ks(part, ds.labels, 10)
+        assert abs(realized - target) <= 1e-3
+
+    def test_target_above_reachable_maximum_within_tolerance(self):
+        # 3 clients over 2 classes reach at most 2/3, inside 0.05 of 0.7.
+        ds = synth_dataset(7, 2, 60, 32)
+        part = partition_label_skew(ds, 3, target_ks=0.7, tolerance=0.05, seed=1)
+        realized = mean_pairwise_ks(part, ds.labels, 2)
+        assert abs(realized - 0.7) <= 0.05
+        assert realized == pytest.approx(2 / 3, abs=1e-12)
+
     def test_disjoint_and_exhaustive(self):
         ds = synth_dataset(3, 4, 50, 32)
         part = partition_label_skew(ds, 4, target_ks=0.6, tolerance=0.02, seed=3)
@@ -185,7 +202,7 @@ class TestPartitionLabelSkew:
     def test_unreachable_target_raises(self):
         ds = synth_dataset(5, 2, 30, 32)
         # 6 clients over 2 classes: disjoint support is impossible
-        with pytest.raises(DataError, match="unreachable"):
+        with pytest.raises(DataError, match=r"unreachable.*\(at most 0\.3333\)"):
             partition_label_skew(ds, 6, target_ks=0.95, tolerance=0.01, seed=6)
 
     def test_deterministic(self):

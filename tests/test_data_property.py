@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedconv.data import (DataError, Dataset, ks_two, mean_pairwise_ks,
-                          partition_iid, partition_label_skew, synth_dataset)
+from fedconv.data import (DataError, Dataset, _client_preferences, _mean_ks,
+                          ks_two, mean_pairwise_ks, partition_iid,
+                          partition_label_skew, synth_dataset)
 
 from helpers import mean_pairwise_ks_oracle, synth_images_oracle
 
@@ -94,13 +95,31 @@ def test_partition_label_skew_lands_within_tolerance_or_raises(
     try:
         partition = partition_label_skew(_dataset(labels, classes), clients,
                                          target, tolerance, seed)
-    except DataError:
+    except DataError as e:
+        # Only three refusals are legitimate: a target past the reachable
+        # maximum, rounding that misses it, or a client dealt no sample.
+        if "unreachable" in str(e):
+            assert target > _mean_ks(_client_preferences(clients, classes)) + tolerance
+        else:
+            assert "misses target" in str(e) or "no samples" in str(e), str(e)
         return
     dealt = np.concatenate(list(partition.values()))
     np.testing.assert_array_equal(np.sort(dealt), np.arange(len(labels)))
     counts = [np.bincount(labels[partition[cid]], minlength=classes).tolist()
               for cid in sorted(partition)]
     assert abs(mean_pairwise_ks_oracle(counts) - target) <= tolerance + 1e-12
+
+
+@settings(max_examples=150)
+@given(clients=st.integers(1, 40), classes=st.integers(1, 30),
+       beta=st.floats(0.0, 1.0))
+def test_mixed_preferences_ks_is_linear_in_the_weight(clients, classes, beta):
+    # Uniform rows cancel in every pairwise CDF gap, which is what lets
+    # partition_label_skew set its mixing weight in closed form.
+    prefs = _client_preferences(clients, classes)
+    uniform = np.full((clients, classes), 1.0 / classes)
+    mixed = _mean_ks((1.0 - beta) * uniform + beta * prefs)
+    assert math.isclose(mixed, beta * _mean_ks(prefs), rel_tol=0, abs_tol=1e-12)
 
 
 def test_mean_pairwise_ks_rejects_an_empty_client():
