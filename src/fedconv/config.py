@@ -351,6 +351,10 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigValidationError([f"config file not found: {p}"])
     try:
         doc = json.loads(p.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        raise ConfigValidationError([f"config file is not UTF-8: {e}"]) from None
     except json.JSONDecodeError as e:
         raise ConfigValidationError([f"config file is not valid JSON: {e}"]) from e
+    except RecursionError:
+        raise ConfigValidationError(["config file is nested too deeply"]) from None
     return parse_experiment(doc)

@@ -4,15 +4,14 @@ Simulation is in-process: a round broadcasts the global state, runs every
 participating client's local update (on the calling thread and, with
 `threads` > 1, helper threads), and evaluates the global model on a
 held-out test set. Every method shares one aggregation core, FedAvg's
-sample-weighted mean, which a round sums as clients finish: a client's
-update is added to the running sum, straight from its worker's arena, as
-soon as every client with a lower id is in it, and one that finishes early
-is copied and held until its turn. The sum is therefore added in ascending
-client-id order whatever the thread timing, and a round holds the sum plus
-only the updates that finished early. The server step (the mean itself,
-fedbn's kept batch-norm entries or Yogi's adaptive step) then writes the
-global model once. The global state is views of that model's own arena and
-buffers, so the global weights exist once.
+sample-weighted mean. A round's `fold` adds each finished client to it,
+straight from its worker's arena, and adds the client's loss to the round's
+loss sum, as soon as every client with a lower id is in them; one that
+finishes early is copied and held until its turn. Both sums are therefore
+taken in ascending client-id order whatever the thread timing. The server
+step (the mean itself, fedbn's kept batch-norm entries or Yogi's adaptive
+step) then writes the global model in place, and the global state is views
+of that model's own arena and buffers, so the global weights exist once.
 
 A client is state, not a model: its optimizer moments, data-order rng, step
 count and, under fedbn, its own batch-norm entries. A run keeps
@@ -163,9 +162,9 @@ def local_update(client: ClientState, model, global_state: dict, *,
                  agc_cfg: AGCConfig | None, dtype=np.float32):
     """One client's round on a worker `model`: load the broadcast state with
     the client's local entries over it, train with the persistent optimizer,
-    store the local entries back, and return the final state and sample
-    count. The state is `state_views(model)`: read or copy it before the
-    worker trains again."""
+    store the local entries back, and return the final state and the
+    sample-weighted mean loss. The state is `state_views(model)`: read or
+    copy it before the worker trains again."""
     if client.n_k == 0:
         raise DataError(f"client {client.id} has an empty dataset")
     model.load_state_dict({**global_state, **client.local})
@@ -180,7 +179,7 @@ def local_update(client: ClientState, model, global_state: dict, *,
     state = state_views(model)
     for name, value in client.local.items():
         value[...] = state[name]
-    return client.id, state, client.n_k, mean_loss
+    return state, mean_loss
 
 
 # ---------------------------------------------------------------------------
@@ -261,69 +260,61 @@ def run_round(global_model: Network, global_state: dict, yogi, clients, *,
               workers, method: FLMethodConfig, dataset: Dataset,
               test_set: Dataset, round_idx: int, epochs: int, batch_size: int,
               schedule: LrSchedule, agc_cfg: AGCConfig | None, dtype,
-              threads: int = 1, all_client_sizes=None):
+              threads: int = 1, all_client_sizes=None) -> RoundRecord:
     """Broadcast -> parallel local updates folded into the weighted mean ->
-    server step -> evaluate. Returns `state_views(global_model)` and the
-    round's record.
+    server step -> evaluate. Returns the round's record; the server step
+    writes `global_model` in place, so its `state_views` stay current.
 
     The calling thread and min(threads, len(clients)) - 1 helper threads
     take clients in id order from one shared queue, each on its own model
-    from `workers` (at least that many). A finished update is added to the
-    running sum by `aggregate_fedavg` once every client with a lower id is
-    in it, read from the worker in place; one that finishes ahead of its
-    turn is copied and held, and the thread that adds its predecessor adds
-    it too. The first exception a local update raises stops every thread
-    from taking another client and is raised here once all of them have
-    stopped. `global_state` is read until every client is done; then the
-    server step writes the global model.
+    from `workers` (at least that many). `fold` adds a finished update to
+    the running mean through `aggregate_fedavg`, and its loss to the loss
+    sum, once every client with a lower id is in them, reading the update
+    from the worker in place; one that finishes ahead of its turn is copied
+    and held, and the thread that adds its predecessor adds it too. One lock
+    guards the queue, `errors`, `turn` and `held`. The first exception a
+    local update raises stops every thread from taking another client and
+    is raised here once all of them have stopped. `global_state` is read
+    until every client is done.
     """
     if not clients:
         raise ValueError("run_round: no clients")
-    order = sorted(enumerate(clients), key=lambda item: item[1].id)
-    rank_of = {client.id: rank for rank, (_, client) in enumerate(order)}
-    pending = iter(order)
+    pending = enumerate(sorted(clients, key=lambda c: c.id))
     total = float(sum(c.n_k for c in clients))
-    results = [None] * len(clients)
+    lock = threading.Lock()
     errors = []
-    lock = threading.Lock()        # hands out clients, collects errors
-    fold_lock = threading.Lock()   # guards `turn` and `held`
-    mean: dict = {}
     held: dict = {}
     turn = 0                       # rank of the next client to add
+    mean: dict = {}
+    loss_sum = 0.0
 
-    def fold(cid, state, nk):
-        """Add the update of `cid` to `mean` in rank order: now, with every
-        held successor after it, if its turn has come; else as a held copy."""
-        nonlocal turn
-        rank = rank_of[cid]
-        with fold_lock:
-            mine = rank == turn
-        if not mine:
-            copy = {name: value.copy() for name, value in state.items()}
-            with fold_lock:
-                mine = rank == turn   # the predecessor may have been added
-                if not mine:
-                    held[rank] = (cid, copy, nk)
-                    return
-        entry = (cid, state, nk)
-        while entry is not None:
-            aggregate_fedavg([entry], into=mean, total=total)
-            with fold_lock:
+    def fold(rank, client, state, loss):
+        """Add `client`'s update and loss to the running sums in rank order:
+        now, with every held successor after it, if its turn has come; else
+        as a held copy."""
+        nonlocal turn, loss_sum
+        with lock:
+            if rank != turn:
+                held[rank] = (client, {n: v.copy() for n, v in state.items()}, loss)
+                return
+        while client is not None:
+            aggregate_fedavg([(client.id, state, client.n_k)], into=mean, total=total)
+            loss_sum += loss * client.n_k
+            with lock:
                 turn = rank = rank + 1
-                entry = held.pop(rank, None)
+                client, state, loss = held.pop(rank, (None, None, None))
 
     def drain(model, item):
         """Train `item` on `model`, then pending clients until none is left
         or a thread has failed."""
         while item is not None:
-            i, client = item
+            rank, client = item
             try:
-                cid, state, nk, loss = local_update(
+                state, loss = local_update(
                     client, model, global_state, method=method,
                     dataset=dataset, epochs=epochs, batch_size=batch_size,
                     schedule=schedule, agc_cfg=agc_cfg, dtype=dtype)
-                fold(cid, state, nk)
-                results[i] = (cid, nk, loss)
+                fold(rank, client, state, loss)
             except BaseException as exc:  # raised below once all threads stop
                 with lock:
                     errors.append(exc)
@@ -358,12 +349,9 @@ def run_round(global_model: Network, global_state: dict, yogi, clients, *,
         mean.clear()
         accuracy = evaluate(global_model, test_set.images, test_set.labels,
                             dtype=dtype)
-    ordered = sorted(results, key=lambda r: r[0])
-    mean_loss = sum(loss * nk for _, nk, loss in ordered) / total
-    record = RoundRecord(round=round_idx, accuracy=accuracy, loss=mean_loss,
-                         client_sizes=list(all_client_sizes or []),
-                         seconds=sw.seconds)
-    return state_views(global_model), record
+    return RoundRecord(round=round_idx, accuracy=accuracy, loss=loss_sum / total,
+                       client_sizes=list(all_client_sizes or []),
+                       seconds=sw.seconds)
 
 
 def _load_data(exp) -> tuple[Dataset, Dataset]:
@@ -462,7 +450,7 @@ def run_federated(exp, threads: int = 1, round_checkpoint=None,
             participating = [clients[i] for i in chosen]
         else:
             participating = clients
-        global_state, record = run_round(
+        record = run_round(
             global_model, global_state, yogi, participating, workers=workers,
             method=method, dataset=train, test_set=test, round_idx=r,
             epochs=exp.fl.local_epochs, batch_size=exp.fl.batch_size,

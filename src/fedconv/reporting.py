@@ -15,6 +15,7 @@ file whole.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -101,14 +102,16 @@ _DTYPE_TAGS = {
 _TAG_TO_NP = {tag: le for _, (tag, le) in _DTYPE_TAGS.items()}
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Replace `path` with `data` through a temp file in the same directory;
-    on any failure the temp file is removed and `path` is left as it was."""
+def write_atomic(path, *parts) -> None:
+    """Replace `path` with the bytes-like `parts`, written in order, through
+    a temp file in the same directory; on any failure the temp file is
+    removed and `path` is left as it was."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:
-            f.write(data)
+            for part in parts:
+                f.write(part)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -116,7 +119,9 @@ def write_atomic(path, data: bytes) -> None:
 
 
 def save_checkpoint(entries: dict[str, np.ndarray], stem) -> None:
-    """Write `<stem>.manifest` (text) and `<stem>.blob` (raw little-endian)."""
+    """Write `<stem>.manifest` (text) and `<stem>.blob` (raw little-endian).
+    The blob is written from each entry's own buffer, copied only when an
+    entry is not contiguous."""
     stem = Path(stem)
     lines = []
     blobs = []
@@ -128,14 +133,15 @@ def save_checkpoint(entries: dict[str, np.ndarray], stem) -> None:
         if arr.dtype not in _DTYPE_TAGS:
             raise CheckpointError(f"unsupported dtype {arr.dtype} for {name!r}")
         tag, le = _DTYPE_TAGS[arr.dtype]
-        raw = np.ascontiguousarray(arr).astype(le, copy=False).tobytes()
+        raw = np.ascontiguousarray(arr).astype(le, copy=False)
+        raw = raw.reshape(-1).view(np.uint8)
         shape = ",".join(str(d) for d in arr.shape) or "scalar"
         lines.append(f"{name}\t{tag}\t{shape}\t{offset}")
         blobs.append(raw)
-        offset += len(raw)
+        offset += raw.size
     stem.parent.mkdir(parents=True, exist_ok=True)
     # The blob goes first: the manifest that describes it completes the pair.
-    write_atomic(stem.with_suffix(stem.suffix + ".blob"), b"".join(blobs))
+    write_atomic(stem.with_suffix(stem.suffix + ".blob"), *blobs)
     write_atomic(stem.with_suffix(stem.suffix + ".manifest"),
                  ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8"))
 
@@ -149,7 +155,11 @@ def load_checkpoint(stem) -> dict[str, np.ndarray]:
     blob = blob_path.read_bytes()
     out: dict[str, np.ndarray] = {}
     expected = 0
-    for lineno, line in enumerate(manifest.read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        text = manifest.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise CheckpointError(f"{manifest}: manifest is not UTF-8: {e}") from None
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line:
             continue
         parts = line.split("\t")
@@ -168,12 +178,15 @@ def load_checkpoint(stem) -> dict[str, np.ndarray]:
         if offset != expected:
             raise CheckpointError(f"manifest line {lineno}: non-contiguous offset")
         dt = np.dtype(_TAG_TO_NP[tag])
-        count = int(np.prod(shape))  # 1 for a scalar, 0 for a zero-size entry
+        count = math.prod(shape)  # 1 for a scalar, 0 for a zero-size entry
         nbytes = dt.itemsize * count
         if offset + nbytes > len(blob):
             raise CheckpointError(f"blob truncated: {name!r} needs {offset + nbytes} bytes")
-        out[name] = np.frombuffer(blob, dtype=dt, count=count,
-                                  offset=offset).reshape(shape).copy()
+        flat = np.frombuffer(blob, dtype=dt, count=count, offset=offset)
+        try:
+            out[name] = flat.reshape(shape).copy()
+        except ValueError as e:  # a zero-size shape numpy cannot represent
+            raise CheckpointError(f"manifest line {lineno}: shape {shape_s!r}: {e}") from None
         expected = offset + nbytes
     if expected != len(blob):
         raise CheckpointError("blob has trailing bytes not covered by the manifest")

@@ -382,6 +382,55 @@ class TestCliFlopsSweepEval:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "head.bias" in lines[0]
 
+    @staticmethod
+    def assert_one_error_line(capsys, code, named):
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+        assert named in lines[0]
+
+    @pytest.mark.parametrize("raw,named", [
+        (b'\xff\xfe{"seed": 1}', "UTF-8"),
+        (b"[" * 100_000, "nested"),
+    ], ids=["not_utf8", "nested_100k"])
+    def test_malformed_config_file_is_one_error_line(self, tmp_path, capsys,
+                                                     raw, named):
+        # The first raised UnicodeDecodeError, the second RecursionError out
+        # of json.loads, both as tracebacks.
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(raw)
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        self.assert_one_error_line(capsys, code, named)
+
+    def test_eval_manifest_not_utf8_is_one_error_line(self, tmp_path, capsys):
+        # read_text raised UnicodeDecodeError as a traceback.
+        cfg = write_config(tmp_path, base_doc())
+        main(["train", "--config", cfg, "--out", str(tmp_path / "run")])
+        stem = tmp_path / "run" / "checkpoint"
+        (tmp_path / "run" / "checkpoint.manifest").write_bytes(
+            b"\xffmodel.head.bias\tf32\t4\t0\n")
+        capsys.readouterr()
+        code = main(["eval", "--config", cfg, "--checkpoint", str(stem)])
+        self.assert_one_error_line(capsys, code, "UTF-8")
+
+    @pytest.mark.parametrize("shape,named", [
+        ("4294967296,4294967296", "truncated"),
+        ("0,1000000000000000000000000000000", "0,1000000000000000000000000000000"),
+    ], ids=["count_wraps_int64", "unrepresentable"])
+    def test_eval_oversized_shape_is_one_error_line(self, tmp_path, capsys,
+                                                    shape, named):
+        # np.prod wrapped 2**64 elements to 0, so the size check passed and
+        # reshape raised ValueError; numpy cannot hold a 10**30 dimension.
+        cfg = write_config(tmp_path, base_doc())
+        stem = tmp_path / "checkpoint"
+        (tmp_path / "checkpoint.manifest").write_text(
+            f"model.head.bias\tf32\t{shape}\t0\n", encoding="utf-8")
+        (tmp_path / "checkpoint.blob").write_bytes(b"")
+        code = main(["eval", "--config", cfg, "--checkpoint", str(stem)])
+        self.assert_one_error_line(capsys, code, named)
+
     def test_eval_missing_checkpoint(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_doc())
         code = main(["eval", "--config", cfg,

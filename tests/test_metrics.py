@@ -1,6 +1,7 @@
 """Evaluation, TMS accounting, checkpoints, and report files."""
 
 import struct
+import tracemalloc
 from collections import OrderedDict
 
 import numpy as np
@@ -203,6 +204,35 @@ class TestCheckpoint:
         blob = (tmp_path / "ckpt.blob").read_bytes()
         manual = b"".join(struct.pack("<d", float(x)) for x in value)
         assert blob == manual
+
+    def test_strided_and_scalar_entries_write_their_values(self, tmp_path):
+        grid = np.arange(12.0).reshape(3, 4)
+        entries = OrderedDict([("t", grid.T), ("s", np.array(2.5, dtype=np.float32))])
+        save_checkpoint(entries, tmp_path / "ckpt")
+        blob = (tmp_path / "ckpt.blob").read_bytes()
+        assert blob == struct.pack("<12df", *grid.T.ravel(), 2.5)
+        assert np.array_equal(load_checkpoint(tmp_path / "ckpt")["t"], grid.T)
+
+    def test_save_makes_no_copy_of_the_state(self, tmp_path):
+        # Each entry's buffer is written as it is: no tobytes() per entry and
+        # no joined blob, each of which cost a full copy of the state.
+        rng = np.random.default_rng(0)
+        entries = OrderedDict(
+            (f"model.w{i}", rng.standard_normal(1 << 16).astype(np.float32))
+            for i in range(6))
+        state_bytes = sum(a.nbytes for a in entries.values())
+        assert state_bytes >= 1 << 20
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            save_checkpoint(entries, tmp_path / "ckpt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 0.5 * state_bytes, (peak - base) / state_bytes
+        loaded = load_checkpoint(tmp_path / "ckpt")
+        assert all(np.array_equal(loaded[n], a) for n, a in entries.items())
 
 
 def make_report(**over):
