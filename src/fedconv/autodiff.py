@@ -539,28 +539,24 @@ def global_avg_pool(x: Tensor) -> Tensor:
 # normalization
 # ---------------------------------------------------------------------------
 
-def layer_norm_c(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the channel dimension independently at each position.
-
-    Accepts NCHW feature maps or NC feature vectors (treated as H=W=1).
-    """
-    xd = x.data
-    squeeze = xd.ndim == 2
-    if squeeze:
-        xd = xd.reshape(xd.shape[0], xd.shape[1], 1, 1)
-    if xd.ndim != 4:
-        raise ShapeError("layer_norm_c expects NCHW or NC input")
-    c = xd.shape[1]
-    if gamma.data.shape != (c,) or beta.data.shape != (c,):
-        raise ShapeError("layer_norm_c: gamma/beta must have shape (C,)")
-    mu = xd.mean(axis=1, keepdims=True)
-    var = xd.var(axis=1, keepdims=True)
+def _standardize(x: Tensor, xd: np.ndarray, gamma: Tensor, beta: Tensor,
+                 axes: tuple, eps: float, op: str):
+    """gamma * (xd - mu) / sqrt(var + eps) + beta per channel, statistics
+    over `axes` of the NCHW array `xd` backing `x`: (1,) for channel layer
+    norm, (0, 2, 3) for training-mode batch norm. var is the mean of d*d for
+    d = xd - mu, bitwise `np.var(xd, axis=axes, keepdims=True)` without its
+    second mean pass. Returns the output (shaped like `x`), mu and var."""
+    mu = xd.mean(axis=axes, keepdims=True)
+    d = xd - mu
+    sq = d * d
+    var = sq.mean(axis=axes, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mu) * inv
-    out_data = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
-    if squeeze:
-        out_data = out_data.reshape(out_data.shape[0], c)
-    out, track = _result(out_data, (x, gamma, beta), "layer_norm_c")
+    # xhat and the output reuse d's and sq's buffers: two full-size arrays.
+    xhat = np.multiply(d, inv, out=d)
+    gam = gamma.data[None, :, None, None]
+    out_data = np.multiply(gam, xhat, out=sq)
+    out_data += beta.data[None, :, None, None]
+    out, track = _result(out_data.reshape(x.data.shape), (x, gamma, beta), op)
     if track:
         def _bwd():
             g = out.grad.reshape(xhat.shape)
@@ -569,12 +565,28 @@ def layer_norm_c(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> T
             if beta.requires_grad:
                 _accum(beta, g.sum(axis=(0, 2, 3)))
             if x.requires_grad:
-                ghat = g * gamma.data[None, :, None, None]
-                gx = inv * (ghat - ghat.mean(axis=1, keepdims=True)
-                            - xhat * (ghat * xhat).mean(axis=1, keepdims=True))
+                ghat = g * gam
+                gx = inv * (ghat - ghat.mean(axis=axes, keepdims=True)
+                            - xhat * (ghat * xhat).mean(axis=axes, keepdims=True))
                 _accum(x, gx.reshape(x.data.shape))
         out._backward = _bwd
-    return out
+    return out, mu, var
+
+
+def layer_norm_c(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize over the channel dimension independently at each position.
+
+    Accepts NCHW feature maps or NC feature vectors (treated as H=W=1).
+    """
+    xd = x.data
+    if xd.ndim == 2:
+        xd = xd.reshape(xd.shape[0], xd.shape[1], 1, 1)
+    if xd.ndim != 4:
+        raise ShapeError("layer_norm_c expects NCHW or NC input")
+    c = xd.shape[1]
+    if gamma.data.shape != (c,) or beta.data.shape != (c,):
+        raise ShapeError("layer_norm_c: gamma/beta must have shape (C,)")
+    return _standardize(x, xd, gamma, beta, (1,), eps, "layer_norm_c")[0]
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
@@ -594,31 +606,14 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     c = xd.shape[1]
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ShapeError("batch_norm: gamma/beta must have shape (C,)")
-    gam = gamma.data[None, :, None, None]
-    bet = beta.data[None, :, None, None]
     if training:
-        mu = xd.mean(axis=(0, 2, 3))
-        var = xd.var(axis=(0, 2, 3))
-        running_mean[...] = (1.0 - momentum) * running_mean + momentum * mu
-        running_var[...] = (1.0 - momentum) * running_var + momentum * var
-        inv = 1.0 / np.sqrt(var + eps)[None, :, None, None]
-        xhat = (xd - mu[None, :, None, None]) * inv
-        out, track = _result(gam * xhat + bet, (x, gamma, beta), "batch_norm")
-        if track:
-            def _bwd():
-                g = out.grad
-                if gamma.requires_grad:
-                    _accum(gamma, (g * xhat).sum(axis=(0, 2, 3)))
-                if beta.requires_grad:
-                    _accum(beta, g.sum(axis=(0, 2, 3)))
-                if x.requires_grad:
-                    ghat = g * gam
-                    gx = inv * (ghat - ghat.mean(axis=(0, 2, 3), keepdims=True)
-                                - xhat * (ghat * xhat).mean(axis=(0, 2, 3), keepdims=True))
-                    _accum(x, gx)
-            out._backward = _bwd
+        out, mu, var = _standardize(x, xd, gamma, beta, (0, 2, 3), eps, "batch_norm")
+        running_mean[...] = (1.0 - momentum) * running_mean + momentum * mu.reshape(c)
+        running_var[...] = (1.0 - momentum) * running_var + momentum * var.reshape(c)
         return out
 
+    gam = gamma.data[None, :, None, None]
+    bet = beta.data[None, :, None, None]
     inv = (1.0 / np.sqrt(running_var + eps))[None, :, None, None]
     centered = xd - running_mean[None, :, None, None]
     out, track = _result(gam * centered * inv + bet, (x, gamma, beta), "batch_norm")

@@ -40,7 +40,7 @@ from .autodiff import NumericsError, Tensor, softmax_cross_entropy
 from .data import (DataError, Dataset, build_shared_pool, load_cifar10_binary,
                    mean_pairwise_ks, partition_iid, partition_label_skew,
                    synth_dataset, to_input)
-from .models import Network, count_params
+from .models import Network
 from .optim import AGCConfig, AdamW, LrSchedule, SGD, clip_model_grads, lr_at
 from .reporting import (ExperimentReport, RoundRecord, StopWatch, evaluate,
                         rounds_to_target, tms)
@@ -387,9 +387,9 @@ def _make_schedule(optim_cfg, method: FLMethodConfig) -> LrSchedule:
     return LrSchedule(base, optim_cfg.warmup_epochs, optim_cfg.total_epochs)
 
 
-def _report(exp, records: list[RoundRecord], ks: float) -> ExperimentReport:
-    """The report of a finished run; `ks` is its partition's mean KS."""
-    params = count_params(exp.arch)
+def _report(exp, model: Network, records: list[RoundRecord], ks: float) -> ExperimentReport:
+    """The report of a run that trained `model`; `ks` is its partition's mean KS."""
+    params = model.named_parameters().data.size
     rtt = (rounds_to_target(records, exp.target_accuracy)
            if exp.target_accuracy is not None else None)
     return ExperimentReport(
@@ -464,5 +464,5 @@ def run_federated(exp, threads: int = 1, round_checkpoint=None,
 
     if capture is not None:
         capture.update(state=global_state, model=global_model, clients=clients)
-    return _report(exp, records, ks)
+    return _report(exp, global_model, records, ks)
 

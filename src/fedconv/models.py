@@ -329,14 +329,14 @@ def count_flops(cfg: ArchConfig) -> int:
     return int(total)
 
 
-def calibrate_depths(cfg: ArchConfig, target_flops: int, tolerance: float,
-                     max_multiplier: int = 16) -> tuple[int, int, int, int]:
-    """Search depth multipliers over the base ratio (1, 1, 3, 1) and return
-    the depths whose FLOPs land within `tolerance` (relative) of the target.
-    Smallest total depth wins ties; raises if no multiplier fits."""
+def calibrate_depths(cfg: ArchConfig, target_flops: int,
+                     tolerance: float) -> tuple[int, int, int, int]:
+    """Search depth multipliers 1..16 over the base ratio (1, 1, 3, 1) and
+    return the depths whose FLOPs land within `tolerance` (relative) of the
+    target. Smallest total depth wins ties; raises if no multiplier fits."""
     if target_flops <= 0 or tolerance < 0:
         raise ConfigError("calibrate_depths: positive target and tolerance required")
-    for m in range(1, max_multiplier + 1):
+    for m in range(1, 17):
         depths = (m, m, 3 * m, m)
         flops = count_flops(replace(cfg, depths=depths))
         if abs(flops - target_flops) <= tolerance * target_flops:

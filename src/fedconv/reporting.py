@@ -166,6 +166,8 @@ def load_checkpoint(stem) -> dict[str, np.ndarray]:
         if len(parts) != 4:
             raise CheckpointError(f"manifest line {lineno}: expected 4 fields")
         name, tag, shape_s, offset_s = parts
+        if name in out:
+            raise CheckpointError(f"manifest line {lineno}: duplicate entry {name!r}")
         if tag not in _TAG_TO_NP:
             raise CheckpointError(f"manifest line {lineno}: unknown dtype tag {tag!r}")
         try:

@@ -3,6 +3,7 @@
 These deliberately avoid the package's im2col/matmul path: convolution is
 re-done with explicit window loops, FLOPs by literal per-tap enumeration,
 activation means under N(0, 1) by quadrature of scalar textbook formulas,
+normalization by scalar sums over each group and its explicit Jacobian,
 label-distribution KS by scalar loops over class counts, AGC and the
 optimizer steps by per-tensor loops over separate arrays instead of the flat
 parameter arena, synthetic images by the float64 expression the data
@@ -96,6 +97,68 @@ def loop_maxpool2d(x, g, k, stride, padding):
                     out[ni, ci, oy, ox] = x[ni, ci][best]
                     gx[ni, ci][best] += g[ni, ci, oy, ox]
     return out, gx
+
+
+def loop_norm(kind, x, gamma, beta, g, running_mean=None, running_var=None,
+              momentum=0.1, eps=1e-5):
+    """Channel layer norm (`kind` "ln", NCHW or NC `x`) or batch norm
+    ("bn_train", "bn_eval", NCHW `x`) in float64, one normalization group at
+    a time: a group is one position's C channels for "ln" and one channel's
+    N*H*W values for batch norm. The statistics are scalar `math.fsum`
+    means, and the input gradient is each group's explicit Jacobian
+    inv * (delta_ij - 1/k - xhat_i * xhat_j / k) applied to gamma * `g`.
+
+    Returns (out, dx, dgamma, dbeta, var, running_mean, running_var): `out`
+    and `dx` shaped like `x`, `var` the groups' biased variances with the
+    reduced axes kept (None for "bn_eval"), and the running statistics after
+    the step (the EMA of the batch mean and biased variance for "bn_train",
+    unchanged for "bn_eval", None for "ln")."""
+    shape = np.shape(x)
+    x4 = np.asarray(x, np.float64).reshape(shape[0], shape[1], -1)
+    g4 = np.asarray(g, np.float64).reshape(x4.shape)
+    n, c, hw = x4.shape
+    gamma, beta = np.asarray(gamma, np.float64), np.asarray(beta, np.float64)
+    if kind == "ln":
+        groups = [[(ni, ci, p) for ci in range(c)] for ni in range(n) for p in range(hw)]
+        var = np.zeros((n, 1, hw))
+    else:
+        groups = [[(ni, ci, p) for ni in range(n) for p in range(hw)] for ci in range(c)]
+        var = np.zeros((1, c, 1))
+    rm = None if running_mean is None else np.array(running_mean, np.float64)
+    rv = None if running_var is None else np.array(running_var, np.float64)
+    out, dx = np.zeros(x4.shape), np.zeros(x4.shape)
+    dgamma, dbeta = np.zeros(c), np.zeros(c)
+    for group in groups:
+        k = len(group)
+        v = [x4[i] for i in group]
+        if kind == "bn_eval":
+            ci = group[0][1]
+            mu, s2 = rm[ci], rv[ci]
+        else:
+            mu = math.fsum(v) / k
+            s2 = math.fsum((vi - mu) ** 2 for vi in v) / k
+            ni, ci, p = group[0]
+            var[(ni, 0, p) if kind == "ln" else (0, ci, 0)] = s2
+            if kind == "bn_train":
+                rm[ci] = (1.0 - momentum) * rm[ci] + momentum * mu
+                rv[ci] = (1.0 - momentum) * rv[ci] + momentum * s2
+        inv = 1.0 / math.sqrt(s2 + eps)
+        xhat = [(vi - mu) * inv for vi in v]
+        ghat = [g4[i] * gamma[i[1]] for i in group]
+        for a, i in enumerate(group):
+            out[i] = gamma[i[1]] * xhat[a] + beta[i[1]]
+            dgamma[i[1]] += g4[i] * xhat[a]
+            dbeta[i[1]] += g4[i]
+            if kind == "bn_eval":
+                dx[i] = ghat[a] * inv
+            else:
+                dx[i] = math.fsum(ghat[b] * inv * ((a == b) - 1.0 / k - xhat[b] * xhat[a] / k)
+                                  for b in range(k))
+    if kind == "ln":
+        var = var.reshape(n, 1, *(shape[2:] or (1, 1)))
+    else:
+        var = None if kind == "bn_eval" else var.reshape(1, c, 1, 1)
+    return out.reshape(shape), dx.reshape(shape), dgamma, dbeta, var, rm, rv
 
 
 def enumerate_conv_macs(cout, cin_g, k, hout, wout):
@@ -287,4 +350,4 @@ def central_train(exp, round_checkpoint=None, capture=None):
 
     if capture is not None:
         capture.update(state=model.state_dict(), model=model, optimizer=optimizer)
-    return replace(_report(exp, records, 0.0), partition_mean_ks=None)
+    return replace(_report(exp, model, records, 0.0), partition_mean_ks=None)

@@ -17,7 +17,7 @@ from fedconv.federated import (ClientState, FLMethodConfig, YogiState,
                                aggregate_fedavg, aggregate_fedbn,
                                apply_prox_grads, local_update, run_federated,
                                train_epochs, yogi_server_step)
-from fedconv.models import Network
+from fedconv.models import Network, count_params
 from fedconv.optim import LrSchedule, ParamArena, SGD
 
 from helpers import central_train
@@ -360,7 +360,10 @@ class TestRunFederated:
             "fl.method": {"name": "fedbn"}, "fl.rounds": 2,
         }
         capture = {}
-        run_federated(toy_experiment(**over), capture=capture)
+        exp = toy_experiment(**over)
+        report = run_federated(exp, capture=capture)
+        # BN running statistics are state, not parameters
+        assert report.params == count_params(exp.arch)
         model = capture["model"]
         bn_names = model.bn_param_names()
         assert bn_names
@@ -422,8 +425,10 @@ class TestRunFederated:
     def test_fedyogi_round_runs(self):
         over = {"fl.method": {"name": "fedyogi"}, "fl.rounds": 2,
                 "optimizer.kind": "sgd", "optimizer.base_lr": 0.05}
-        report = run_federated(toy_experiment(**over))
+        exp = toy_experiment(**over)
+        report = run_federated(exp)
         assert len(report.records) == 3
+        assert report.params == count_params(exp.arch)
 
     def test_client_optimizer_state_persists(self):
         capture = {}

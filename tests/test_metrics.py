@@ -194,6 +194,15 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="manifest line 1"):
             load_checkpoint(tmp_path / "ckpt")
 
+    def test_duplicate_manifest_name_rejected(self, tmp_path):
+        # Both lines are well-formed and contiguous; without a name check the
+        # second silently replaces the first and loads as {"w": [2.0]}.
+        (tmp_path / "ckpt.manifest").write_text("w\tf32\t1\t0\nw\tf32\t1\t4\n")
+        (tmp_path / "ckpt.blob").write_bytes(
+            np.array([1, 2], dtype="<f4").tobytes())
+        with pytest.raises(CheckpointError, match="manifest line 2: .*'w'"):
+            load_checkpoint(tmp_path / "ckpt")
+
     def test_unsupported_save_dtype(self, tmp_path):
         with pytest.raises(CheckpointError, match="dtype"):
             save_checkpoint({"x": np.zeros(2, dtype=np.float16)}, tmp_path / "c")
