@@ -21,11 +21,11 @@ applies to the calling thread only.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from scipy.special import erf, expit
 
 __all__ = [
@@ -270,8 +270,11 @@ def _windows(xt: np.ndarray, kh: int, kw: int, stride: int, pad_h: tuple,
     wout, tw0, tw1, iw0, iw1 = _axis(w, kw, *pad_w, stride)
     xs = _slab(xt, ih0, ih1, iw0, iw1)
     sc, sh, sw, sn = xs.strides
-    win = as_strided(xs, (cin, th1 - th0, tw1 - tw0, hout, wout, n),
-                     (sc, sh, sw, sh * stride, sw * stride, sn), writeable=False)
+    # The ndarray constructor, not `as_strided`: the same view at a fraction
+    # of the per-call cost.
+    win = np.ndarray((cin, th1 - th0, tw1 - tw0, hout, wout, n), xs.dtype, xs,
+                     0, (sc, sh, sw, sh * stride, sw * stride, sn))
+    win.flags.writeable = False
     return win, (hout, wout, (th0, th1), (tw0, tw1), (ih0, ih1), (iw0, iw1))
 
 
@@ -321,15 +324,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     gradient. Forward is im2col over those taps of the input read as
     (C, H, W, N), so the batch is innermost and every group is one GEMM over
     batch and space; a large column matrix is built in blocks of output
-    rows. The output and the input gradient are (N, C, H, W) views of
-    (C, H, W, N) memory, so a following conv reads them without a
-    transposing copy. The closure keeps the input, not the column matrix:
-    the weight gradient rebuilds the whole matrix from it and is one GEMM per
-    group, and the matrix is dropped before the input gradient runs. So the
-    input must not be written in place between forward and backward. At
-    stride 1 the input gradient is the forward correlation of the output
-    gradient with the flipped, channel-swapped kernel, and at larger strides
-    a scatter of the window gradients.
+    rows. A depth-wise conv on a small map (`_spatial_operator_applies`)
+    builds no columns: forward, input gradient and weight gradient are one
+    batched GEMM each against its spatial operator. The output and the
+    input gradient are (N, C, H, W) views of (C, H, W, N) memory, so a
+    following conv reads them without a transposing copy. The closure keeps
+    the input, not the column matrix or the operator: the weight gradient
+    rebuilds the whole matrix from it and is one GEMM per group, and the
+    matrix is dropped before the input gradient runs. So the input must not
+    be written in place between forward and backward. At stride 1 the input
+    gradient is the forward correlation of the output gradient with the
+    flipped, channel-swapped kernel, and at larger strides a scatter of the
+    window gradients.
     """
     xd, wd = x.data, weight.data
     if xd.ndim != 4 or wd.ndim != 4:
@@ -352,10 +358,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
 
     p = padding
     xt = xd.transpose(1, 2, 3, 0)
-    out_t, geom = _correlate(xt, wd, stride, (p, p), (p, p), groups)
-    out_data = out_t.transpose(3, 0, 1, 2)
+    spatial = _spatial_operator_applies(groups, cin, cout, h, w, k, stride, p)
+    if spatial:
+        out_t = _spatial_correlate(xt, wd, stride, p)
+    else:
+        out_t, geom = _correlate(xt, wd, stride, (p, p), (p, p), groups)
     if bias is not None:
-        out_data += bias.data[None, :, None, None]
+        out_t += bias.data[:, None, None, None]
+    out_data = out_t.transpose(3, 0, 1, 2)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     out, track = _result(out_data, parents, "conv2d")
@@ -363,13 +373,122 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
         def _bwd():
             gt = np.ascontiguousarray(out.grad.transpose(1, 2, 3, 0))
             if weight.requires_grad:
-                _accum(weight, _conv_weight_grad(gt, xt, wd, stride, p, groups))
+                if spatial:
+                    gw = _spatial_weight_grad(gt, xt, wd, stride, p)
+                else:
+                    gw = _conv_weight_grad(gt, xt, wd, stride, p, groups)
+                _accum(weight, gw)
             if bias is not None and bias.requires_grad:
                 _accum(bias, out.grad.sum(axis=(0, 2, 3)))
             if x.requires_grad:
-                _accum(x, _conv_input_grad(gt, wd, stride, p, groups, geom, h, w))
+                if spatial:
+                    gx = _spatial_input_grad(gt, wd, stride, p, h, w)
+                else:
+                    gx = _conv_input_grad(gt, wd, stride, p, groups, geom, h, w)
+                _accum(x, gx)
         out._backward = _bwd
     return out
+
+
+def _spatial_operator_applies(groups: int, cin: int, cout: int, h: int, w: int,
+                              k: int, stride: int, p: int) -> bool:
+    """Whether conv2d runs as one GEMM against its spatial operator: a
+    depth-wise conv whose input map has at most twice as many pixels as live
+    kernel taps. On larger maps the operator is mostly zeros, and the
+    windowed correlation is faster (a k3 depth-wise conv at 8x8 was 2-4x
+    slower on the operator)."""
+    if not groups == cin == cout:
+        return False
+    th0, th1 = _axis(h, k, p, p, stride)[1:3]
+    tw0, tw1 = _axis(w, k, p, p, stride)[1:3]
+    return h * w <= 2 * (th1 - th0) * (tw1 - tw0)
+
+
+@functools.lru_cache(maxsize=256)
+def _tap_table(h: int, w: int, k: int, stride: int, p: int):
+    """Tap-index table of a depth-wise conv on an h x w map, and its
+    `(hout, wout, (th0, th1), (tw0, tw1))` geometry. `idx[o, i]` is the
+    live tap (row-major over the `_axis` live ranges) that carries input
+    pixel i to output position o, or the live-tap count where no tap does.
+    For the weight gradient, `order` lists the table's entries grouped by
+    tap, `reached` the taps that have any and `starts` where each reached
+    tap's group begins. Cached per geometry, so the arrays are read-only;
+    int32 keeps the cache small."""
+    hout, th0, th1 = _axis(h, k, p, p, stride)[:3]
+    wout, tw0, tw1 = _axis(w, k, p, p, stride)[:3]
+    kh, kw = th1 - th0, tw1 - tw0
+    i = np.arange(h) - stride * np.arange(hout)[:, None] + p - th0
+    j = np.arange(w) - stride * np.arange(wout)[:, None] + p - tw0
+    ok = ((i >= 0) & (i < kh))[:, None, :, None] & ((j >= 0) & (j < kw))[None, :, None, :]
+    idx = np.where(ok, i[:, None, :, None] * kw + j[None, :, None, :], kh * kw)
+    idx = idx.reshape(hout * wout, h * w).astype(np.int32)
+    counts = np.bincount(idx.ravel(), minlength=kh * kw + 1)[:-1]
+    order = np.argsort(idx.ravel(), kind="stable")[:counts.sum()].astype(np.int32)
+    reached = np.flatnonzero(counts).astype(np.int32)
+    starts = (np.cumsum(counts) - counts)[reached].astype(np.int32)
+    for a in (idx, order, starts, reached):
+        a.flags.writeable = False
+    return idx, order, starts, reached, (hout, wout, (th0, th1), (tw0, tw1))
+
+
+def _spatial_operator(wd: np.ndarray, table) -> np.ndarray:
+    """The (C, Hout*Wout, h*w) per-channel operator of a depth-wise conv
+    with (C, 1, k, k) kernel `wd`, gathered from the kernel's live taps (and
+    a zero for the pairs no tap joins) through the `_tap_table` `table`."""
+    idx, geom = table[0], table[4]
+    (th0, th1), (tw0, tw1) = geom[2:]
+    c = wd.shape[0]
+    taps = np.zeros((c, (th1 - th0) * (tw1 - tw0) + 1), wd.dtype)
+    taps[:, :-1] = wd[:, 0, th0:th1, tw0:tw1].reshape(c, -1)
+    return np.take(taps, idx, axis=1)
+
+
+def _spatial_correlate(xt: np.ndarray, wd: np.ndarray, stride: int,
+                       p: int) -> np.ndarray:
+    """Depth-wise correlation of a (C, H, W, N) input as one batched GEMM of
+    the spatial operator with the input read as (C, H*W, N). Returns the
+    (C, Hout, Wout, N) output."""
+    c, h, w, n = xt.shape
+    table = _tap_table(h, w, wd.shape[2], stride, p)
+    hout, wout = table[4][:2]
+    out = np.matmul(_spatial_operator(wd, table), _spatial_input(xt))
+    return out.reshape(c, hout, wout, n)
+
+
+def _spatial_input(xt: np.ndarray) -> np.ndarray:
+    """A (C, H, W, N) input as a C-contiguous (C, H*W, N) GEMM operand, free
+    for CHWN memory. An NCHW input could otherwise reshape to a view that
+    BLAS reads transposed, with another summation order."""
+    c, h, w, n = xt.shape
+    return np.ascontiguousarray(xt).reshape(c, h * w, n)
+
+
+def _spatial_input_grad(gt: np.ndarray, wd: np.ndarray, stride: int, p: int,
+                        h: int, w: int) -> np.ndarray:
+    """Input gradient of `_spatial_correlate`, at any stride: the operator's
+    transpose times the (C, Hout, Wout, N) output gradient, returned as an
+    (N, C, h, w) view of (C, h, w, N) memory."""
+    c, n = gt.shape[0], gt.shape[3]
+    op = _spatial_operator(wd, _tap_table(h, w, wd.shape[2], stride, p))
+    gx = np.matmul(op.transpose(0, 2, 1), gt.reshape(c, -1, n))
+    return gx.reshape(c, h, w, n).transpose(3, 0, 1, 2)
+
+
+def _spatial_weight_grad(gt: np.ndarray, xt: np.ndarray, wd: np.ndarray,
+                         stride: int, p: int) -> np.ndarray:
+    """Kernel gradient of `_spatial_correlate`: the operator's gradient
+    g . x^T, summed per live tap through the tap table. Taps that no output
+    reaches get an exact zero (`reduceat` would return an empty group's
+    first element)."""
+    c, h, w, n = xt.shape
+    _, order, starts, reached, (_, _, (th0, th1), (tw0, tw1)) = _tap_table(
+        h, w, wd.shape[2], stride, p)
+    gop = np.matmul(gt.reshape(c, -1, n), _spatial_input(xt).transpose(0, 2, 1))
+    per_tap = np.zeros(((th1 - th0) * (tw1 - tw0), c), gop.dtype)
+    per_tap[reached] = np.add.reduceat(gop.reshape(c, -1).T[order], starts, axis=0)
+    full = np.zeros_like(wd)
+    full[:, 0, th0:th1, tw0:tw1] = per_tap.T.reshape(c, th1 - th0, tw1 - tw0)
+    return full
 
 
 def _conv_weight_grad(gt: np.ndarray, xt: np.ndarray, wd: np.ndarray,
@@ -612,20 +731,26 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         running_var[...] = (1.0 - momentum) * running_var + momentum * var.reshape(c)
         return out
 
-    gam = gamma.data[None, :, None, None]
-    bet = beta.data[None, :, None, None]
-    inv = (1.0 / np.sqrt(running_var + eps))[None, :, None, None]
-    centered = xd - running_mean[None, :, None, None]
-    out, track = _result(gam * centered * inv + bet, (x, gamma, beta), "batch_norm")
+    # Eval mode is one per-channel affine x * a + b: two full-size passes.
+    inv = 1.0 / np.sqrt(running_var + eps)
+    a = gamma.data * inv
+    b = beta.data - running_mean * a
+    out_data = xd * a[None, :, None, None]
+    out_data += b[None, :, None, None]
+    out, track = _result(out_data, (x, gamma, beta), "batch_norm")
     if track:
+        mean = running_mean[None, :, None, None].copy()
+        inv = inv[None, :, None, None]
+
         def _bwd():
             g = out.grad
             if gamma.requires_grad:
+                centered = xd - mean
                 _accum(gamma, (g * centered * inv).sum(axis=(0, 2, 3)))
             if beta.requires_grad:
                 _accum(beta, g.sum(axis=(0, 2, 3)))
             if x.requires_grad:
-                _accum(x, g * gam * inv)
+                _accum(x, g * gamma.data[None, :, None, None] * inv)
         out._backward = _bwd
     return out
 
@@ -686,18 +811,91 @@ def softplus(x: Tensor) -> Tensor:
                   lambda: expit(xd), "softplus")
 
 
+# Numerical Recipes' `erfcc`: erfc(z) = t * exp(-z*z + P(t)) with
+# t = 1 / (1 + z/2), fractional error below 1.2e-7 for z >= 0. P's
+# coefficients, highest degree first; the constant term also carries the
+# 1/2 of Phi(-|x|) = erfc(|x| / sqrt(2)) / 2, as log(1/2).
+_ERFCC = tuple(np.float32(c) for c in (
+    0.17087277, -0.82215223, 1.48851587, -1.13520398, 0.27886807,
+    -0.18628806, 0.09678418, 0.37409196, 1.00002368,
+    -1.26551223 + math.log(0.5)))
+# Elements per block of the float32 GELU kernel: its temporaries stay in
+# cache.
+_ACT_BLOCK = 32768
+
+
+def _gauss_cdf_f32_block(x: np.ndarray, out: np.ndarray) -> None:
+    """Phi(x) of a 1-d float32 block, written to `out`. q = Phi(-|x|) comes
+    from the erfcc form at z = |x|/sqrt(2), and Phi is q or 1 - q, so
+    negative inputs never cancel."""
+    t = np.abs(x)
+    t *= np.float32(0.5 / _SQRT2)
+    t += 1
+    np.reciprocal(t, out=t)
+    q = t * _ERFCC[0]
+    for c in _ERFCC[1:-1]:
+        q += c
+        q *= t
+    q += _ERFCC[-1]
+    # z*z as x*x/2: x is exact, so the exponent is rounded once.
+    half_sq = np.multiply(x, x, out=out)
+    half_sq *= np.float32(0.5)
+    q -= half_sq
+    np.exp(q, out=q)
+    q *= t
+    # Phi = |[x > 0] - q|: q itself, or 1 - q rounded once.
+    m = np.greater(x, 0, out=t)
+    np.subtract(m, q, out=q)
+    np.abs(q, out=out)
+
+
+def _gelu_f32(x: np.ndarray, keep_phi: bool):
+    """x * Phi(x) of a float32 array and, when `keep_phi`, Phi(x) itself
+    (else None), both laid out like `x`. Phi is computed by
+    `_gauss_cdf_f32_block` over blocks of `_ACT_BLOCK` elements in x's
+    memory order, and each block is multiplied by x while in cache."""
+    ops = [x, np.empty_like(x)] + ([np.empty_like(x)] if keep_phi else [])
+    scratch = None if keep_phi else np.empty(min(x.size, _ACT_BLOCK), x.dtype)
+    blocks = np.nditer(ops, ["external_loop", "buffered", "zerosize_ok"],
+                       [["readonly"]] + [["writeonly"]] * (len(ops) - 1),
+                       order="K", buffersize=_ACT_BLOCK)
+    with blocks:
+        for xb, ob, *kept in blocks:
+            phi = kept[0] if keep_phi else scratch[:xb.size]
+            _gauss_cdf_f32_block(xb, phi)
+            np.multiply(xb, phi, out=ob)
+    return ops[1], (ops[2] if keep_phi else None)
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)). Float32 takes np.exp, whose overflow below
+    x ~ -88 gives the exact limit 0; other dtypes keep scipy's expit."""
+    if x.dtype != np.float32:
+        return expit(x)
+    s = np.negative(x)
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
+    s += 1
+    return np.reciprocal(s, out=s)
+
+
 def gelu(x: Tensor) -> Tensor:
-    """Exact Gaussian-CDF form: x * Phi(x)."""
+    """Exact Gaussian-CDF form: x * Phi(x). Float32 runs `_gelu_f32`, which
+    keeps Phi only for a backward pass; other dtypes keep scipy's erf."""
     xd = x.data
-    phi_cdf = 0.5 * (1.0 + erf(xd / _SQRT2))
-    return _unary(x, xd * phi_cdf,
+    if xd.dtype == np.float32:
+        out_data, phi_cdf = _gelu_f32(xd, _GRAD_MODE.enabled and x.requires_grad)
+    else:
+        phi_cdf = 0.5 * (1.0 + erf(xd / _SQRT2))
+        out_data = xd * phi_cdf
+    return _unary(x, out_data,
                   lambda: phi_cdf + xd * (_INV_SQRT_2PI * np.exp(-0.5 * xd * xd)),
                   "gelu")
 
 
 def silu(x: Tensor) -> Tensor:
     xd = x.data
-    s = expit(xd)
+    s = _sigmoid(xd)
     return _unary(x, xd * s, lambda: s * (1.0 + xd * (1.0 - s)), "silu")
 
 

@@ -49,8 +49,13 @@ class Dataset:
 
 
 def to_input(images_u8: np.ndarray, dtype=np.float32) -> np.ndarray:
-    """Map uint8 pixels to roughly zero-mean, unit-variance floats."""
-    return ((images_u8.astype(dtype) / 255.0) - 0.5) / 0.25
+    """Map uint8 pixels to roughly zero-mean, unit-variance floats,
+    ((x / 255) - 0.5) / 0.25, in place in one new array."""
+    x = images_u8.astype(dtype)
+    x /= 255.0
+    x -= 0.5
+    x /= 0.25
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,30 @@ def loop_conv2d(x, w, b=None, stride=1, padding=0, groups=1):
     return out
 
 
+def loop_conv2d_grads(x, w, g, stride=1, padding=0, groups=1):
+    """Input and weight gradients of sum(conv2d(x, w) * g), in float64: a loop
+    over output channels and positions scatters each output gradient into
+    its window, `g * w` into the padded input gradient and `g * window`
+    into the kernel gradient."""
+    x, w, g = (np.asarray(a, np.float64) for a in (x, w, g))
+    n, cin, h, wdt = x.shape
+    cout, cin_g, k, _ = w.shape
+    og = cout // groups
+    _, _, hout, wout = g.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    gxp, gw = np.zeros_like(xp), np.zeros_like(w)
+    for co in range(cout):
+        chans = slice(co // og * cin_g, (co // og + 1) * cin_g)
+        for oy in range(hout):
+            for ox in range(wout):
+                rows = slice(oy * stride, oy * stride + k)
+                cols = slice(ox * stride, ox * stride + k)
+                go = g[:, co, oy, ox][:, None, None, None]
+                gxp[:, chans, rows, cols] += go * w[co]
+                gw[co] += np.sum(go * xp[:, chans, rows, cols], axis=0)
+    return gxp[:, :, padding:padding + h, padding:padding + wdt], gw
+
+
 def loop_maxpool2d(x, g, k, stride, padding):
     """Max pooling by loops over windows and their pixels in row-major order.
     Returns the pooled values and the input gradient for output gradient
@@ -194,6 +218,28 @@ ACTIVATION_FORMULAS = {
     "silu": lambda z: z * 0.5 * (1.0 + math.tanh(0.5 * z)),
     "elu": lambda z: z if z > 0 else math.expm1(z),
 }
+
+
+def gauss_cdf_f32_closed_form(x):
+    """Phi(x) of a float32 array by the float32 kernel's closed form, whole
+    and unblocked, one numpy expression per step: q = Phi(-|x|) from Numerical
+    Recipes' erfcc at z = |x|/sqrt(2), with z*z taken as x*x/2 and the
+    factor 1/2 as log(1/2) in the exponent, then Phi = |[x > 0] - q|."""
+    t = 1 / (np.abs(x) * np.float32(0.5 / math.sqrt(2.0)) + 1)
+    poly = t * np.float32(0.17087277)
+    for c in (-0.82215223, 1.48851587, -1.13520398, 0.27886807, -0.18628806,
+              0.09678418, 0.37409196, 1.00002368):
+        poly = (poly + np.float32(c)) * t
+    q = np.exp(poly + np.float32(-1.26551223 + math.log(0.5))
+               - x * x * np.float32(0.5)) * t
+    return np.abs((x > 0).astype(np.float32) - q)
+
+
+def sigmoid_f32_closed_form(x):
+    """1 / (1 + exp(-x)) of a float32 array; exp overflows to inf for x
+    below about -88, which gives the exact limit 0."""
+    with np.errstate(over="ignore"):
+        return 1 / (1 + np.exp(-x))
 
 
 def synth_images_oracle(seed, num_classes, per_class, resolution, split):

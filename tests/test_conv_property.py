@@ -7,6 +7,11 @@ gradient (padding >= k). Batches of up to 3 keep a mix-up of the batch and
 space axes in the batch-innermost column layout from passing. Column
 matrices built in blocks of output rows must give bitwise the single-GEMM
 result, and the ResNet stem's forward-only peak memory stays bounded.
+
+Depth-wise convs are drawn on their own, on maps of up to 12x12 with
+kernels up to 9: conv2d runs those on small maps as one GEMM against
+their spatial operator, so each case is compared with the loop oracles
+with the rule as `conv2d` applies it, forced on and forced off.
 """
 
 import tracemalloc
@@ -20,7 +25,7 @@ from fedconv import autodiff as ad
 from fedconv.autodiff import Tensor
 from fedconv.gradcheck import finite_diff_check
 
-from helpers import naive_conv2d
+from helpers import loop_conv2d_grads, naive_conv2d
 
 
 @st.composite
@@ -142,13 +147,118 @@ def test_column_blocks_match_single_gemm(case, batch, dtype, wgrad):
     if wgrad:
         assert gw1.tobytes() == gw0.tobytes()
     h, w_, n = case["h"], case["w"], case["n"]
-    assert fwd1 == tfwd1 == _blocks(h, w_, n, k, s, p)
-    if s == 1:
-        assert bwd1 == _blocks(y0.shape[2], y0.shape[3], n, k, 1, k - 1 - p) + wgrad
+    if ad._spatial_operator_applies(case["groups"], x.shape[1], w.shape[0],
+                                    h, w_, k, s, p):
+        # A depth-wise conv on a small map never builds columns: forward,
+        # input gradient and weight gradient are one GEMM each against its
+        # spatial operator, at any stride.
+        assert (fwd1, tfwd1, bwd1) == (1, 1, 1 + wgrad)
+    else:
+        assert fwd1 == tfwd1 == _blocks(h, w_, n, k, s, p)
+        if s == 1:
+            assert bwd1 == _blocks(y0.shape[2], y0.shape[3], n, k, 1, k - 1 - p) + wgrad
 
 
 test_column_blocks_match_single_gemm = _covered(
     test_column_blocks_match_single_gemm, batch=64, dtype=np.float32, wgrad=True)
+
+
+@st.composite
+def depthwise_cases(draw):
+    """Depth-wise convs on maps of up to 12x12 with odd and even kernels up
+    to 9 and every padding from the least that holds the kernel to k + 1,
+    on both sides of the spatial-operator rule."""
+    k = draw(st.integers(1, 9))
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    least = max(0, -(-(k - min(h, w)) // 2))
+    return dict(n=draw(st.integers(1, 5)), c=draw(st.integers(1, 3)), h=h, w=w,
+                k=k, stride=draw(st.integers(1, 3)),
+                padding=draw(st.integers(least, k + 1)),
+                dtype=draw(st.sampled_from([np.float32, np.float64])),
+                seed=draw(st.integers(0, 2**32 - 1)))
+
+
+def _depthwise_arrays(case):
+    rng = np.random.default_rng(case["seed"])
+    c, k, dtype = case["c"], case["k"], case["dtype"]
+    x = rng.standard_normal((case["n"], c, case["h"], case["w"])).astype(dtype)
+    w = rng.standard_normal((c, 1, k, k)).astype(dtype)
+    b = rng.standard_normal(c).astype(dtype)
+    return x, w, b
+
+
+def _operator_applies(case):
+    c = case["c"]
+    return ad._spatial_operator_applies(c, c, c, case["h"], case["w"], case["k"],
+                                        case["stride"], case["padding"])
+
+
+def _reached_taps(case):
+    """(k, k) mask of the kernel taps that some output reads a real pixel
+    with."""
+    s, p, k = case["stride"], case["padding"], case["k"]
+
+    def axis(size):
+        out = (size + 2 * p - k) // s + 1
+        return np.array([any(0 <= o * s + i - p < size for o in range(out))
+                         for i in range(k)])
+    return axis(case["h"])[:, None] & axis(case["w"])[None, :]
+
+
+def _depthwise_run(case, x, w, b, gy, rule=None):
+    """Forward and gradients of a depth-wise conv2d; `rule` forces the
+    spatial operator on (True) or off (False)."""
+    xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    kw = dict(stride=case["stride"], padding=case["padding"], groups=case["c"])
+    with mock.patch.object(ad, "_spatial_operator_applies",
+                           wraps=ad._spatial_operator_applies) as applies:
+        if rule is not None:
+            applies.side_effect = None
+            applies.return_value = rule
+        out = ad.conv2d(xt, wt, bt, **kw)
+    ad.weighted_sum(out, gy).backward()
+    return out.data, xt.grad, wt.grad, bt.grad
+
+
+@settings(max_examples=200)
+@given(case=depthwise_cases())
+@example(case=dict(n=2, c=3, h=8, w=8, k=9, stride=1, padding=4,
+                   dtype=np.float32, seed=8))   # fedconv_skew's stage 0
+@example(case=dict(n=1, c=2, h=1, w=4, k=3, stride=3, padding=3,
+                   dtype=np.float64, seed=3))   # unreached live taps
+def test_depthwise_conv2d_matches_loop_oracles_on_both_sides_of_the_rule(case):
+    x, w, b = _depthwise_arrays(case)
+    s, p, c = case["stride"], case["padding"], case["c"]
+    want = naive_conv2d(x.astype(np.float64), w.astype(np.float64),
+                        b.astype(np.float64), stride=s, padding=p, groups=c)
+    gy = np.random.default_rng(case["seed"] + 1).standard_normal(want.shape)
+    want_gx, want_gw = loop_conv2d_grads(x, w, gy, stride=s, padding=p, groups=c)
+    tol = 1e-4 if case["dtype"] == np.float32 else 1e-10
+    unreached = ~_reached_taps(case)
+    assert not want_gw[:, :, unreached].any()
+    runs = [_depthwise_run(case, x, w, b, gy.astype(case["dtype"]), rule)
+            for rule in (None, True, False)]
+    for out, gx, gw, gb in runs:
+        assert out.dtype == gx.dtype == gw.dtype == case["dtype"]
+        np.testing.assert_allclose(out, want, rtol=tol, atol=tol * 10)
+        np.testing.assert_allclose(gx, want_gx, rtol=tol, atol=tol * 10)
+        np.testing.assert_allclose(gw, want_gw, rtol=tol, atol=tol * 10)
+        np.testing.assert_allclose(gb, gy.sum(axis=(0, 2, 3)), rtol=tol, atol=tol * 10)
+        # Taps that no output reaches get an exact zero, not a leftover.
+        assert not gw[:, :, unreached].any()
+
+
+@settings(max_examples=60)
+@given(case=depthwise_cases().filter(_operator_applies))
+@example(case=dict(n=3, c=2, h=4, w=4, k=9, stride=1, padding=4,
+                   dtype=np.float64, seed=4))   # fedconv_skew's stage 1
+def test_spatial_operator_gradients_match_finite_differences(case):
+    x, w, b = (a.astype(np.float64) for a in _depthwise_arrays(case))
+    err = finite_diff_check(
+        lambda xt, wt, bt: ad.conv2d(xt, wt, bt, stride=case["stride"],
+                                     padding=case["padding"], groups=case["c"]),
+        [x, w, b])
+    assert err < 1e-6
 
 
 def test_training_conv_keeps_no_column_matrix():

@@ -74,6 +74,13 @@ class TestSynthDataset:
         b = synth_dataset(0, 4, 10, 32, "test")
         assert not np.array_equal(a.images, b.images)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_to_input_is_the_three_step_expression(self, dtype):
+        images = synth_dataset(1, 4, 8, 32, "train").images
+        want = ((images.astype(dtype) / 255.0) - 0.5) / 0.25
+        got = to_input(images, dtype)
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
     def test_nearest_centroid_beats_chance(self):
         train = synth_dataset(3, 4, 50, 32, "train")
         test = synth_dataset(3, 4, 25, 32, "test")

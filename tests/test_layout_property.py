@@ -8,18 +8,21 @@ bit for bit where the op does the same arithmetic in both orders (conv2d,
 maxpool2d, the elementwise ops), and to rounding where a reduction may sum
 in another order (pooling means, normalization statistics, bias and slope
 gradients). conv2d and maxpool2d outputs, and a conv input's gradient, must
-also be CHWN in memory, so a transposing copy cannot come back unnoticed.
+also be CHWN in memory, so a transposing copy cannot come back unnoticed;
+depth-wise convs are drawn on their own as well, so the spatial-operator
+path is held to the same.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedconv import autodiff as ad
 from fedconv.autodiff import Tensor
 
-from test_conv_property import _arrays, conv_cases
+from test_conv_property import (_arrays, _depthwise_arrays, conv_cases,
+                                depthwise_cases)
 from test_pool_property import pool_cases
 
 LAYOUTS = ("nchw", "chwn")
@@ -95,6 +98,27 @@ def test_conv2d_is_layout_invariant_and_writes_chwn(case):
     _same_bytes(gx0, gx1)
     _same_bytes(gw0, gw1)
     np.testing.assert_allclose(gb0, gb1, rtol=1e-12, atol=1e-12)
+    assert all(_is_chwn(a) for a in (out0, out1, gx0, gx1))
+
+
+@settings(max_examples=100)
+@given(case=depthwise_cases())
+@example(case=dict(n=4, c=3, h=8, w=8, k=9, stride=1, padding=4,
+                   dtype=np.float32, seed=9))
+def test_depthwise_conv2d_is_layout_invariant_and_writes_chwn(case):
+    # Depth-wise convs on small maps run against their spatial operator,
+    # which must read and write the same memory order as the correlation.
+    x, w, b = _depthwise_arrays(case)
+    s, p, k = case["stride"], case["padding"], case["k"]
+    hout, wout = ((size + 2 * p - k) // s + 1 for size in (case["h"], case["w"]))
+    kw = dict(stride=s, padding=p, groups=case["c"])
+    (out0, (gx0, gw0, gb0)), (out1, (gx1, gw1, gb1)) = _both(
+        lambda xt, wt, bt: ad.conv2d(xt, wt, bt, **kw), [x, w, b],
+        (case["n"], case["c"], hout, wout), case["seed"])
+    _same_bytes(out0, out1)
+    _same_bytes(gx0, gx1)
+    _same_bytes(gw0, gw1)
+    _close(case)(gb0, gb1)
     assert all(_is_chwn(a) for a in (out0, out1, gx0, gx1))
 
 
