@@ -220,10 +220,11 @@ def _axis(size: int, k: int, before: int, after: int, s: int):
     (a negative amount crops). Returns the output length, the live taps
     [lo, hi), which are the only kernel offsets that can reach a real
     element, and the input range [start, stop) those taps read; indices
-    outside [0, size) are padding."""
+    outside [0, size) are padding. When every window lies wholly in the
+    padding, no tap is live (hi == lo) and the range reads no real element."""
     out = (size + before + after - k) // s + 1
     lo = max(0, before - (out - 1) * s)
-    hi = min(k, size + before)
+    hi = max(lo, min(k, size + before))
     start = lo - before
     return out, lo, hi, start, start + (out - 1) * s + hi - lo
 

@@ -19,7 +19,8 @@ from pathlib import Path
 from .autodiff import NumericsError
 from .config import ConfigValidationError, load_config, parse_experiment
 from .data import DataError, label_histograms
-from .federated import FLMethodConfig, _build_partition, _load_data, run_federated
+from .federated import (FLMethodConfig, _build_partition, _load_data,
+                        _make_schedule, run_federated)
 from .models import ConfigError, Network, calibrate_depths, count_flops, count_params
 from .reporting import (CheckpointError, evaluate, load_checkpoint,
                         save_checkpoint, write_atomic, write_report)
@@ -78,9 +79,8 @@ def _central(exp):
     """The `central` run as a federated config: one client holding the whole
     training set, plain fedavg, and one local epoch per round over
     rounds x local_epochs rounds, at the client lr of the user's method."""
-    optimizer = exp.optimizer
-    if exp.fl.method.name == "fedyogi":
-        optimizer = replace(optimizer, base_lr=exp.fl.method.eta_client)
+    base_lr = _make_schedule(exp.optimizer, exp.fl.method).base_lr
+    optimizer = replace(exp.optimizer, base_lr=base_lr)
     fl = replace(exp.fl, method=FLMethodConfig("fedavg"), local_epochs=1,
                  rounds=exp.fl.rounds * exp.fl.local_epochs,
                  clients_per_round=None)
@@ -190,7 +190,7 @@ def cmd_eval(args) -> int:
     model = Network(exp.arch, exp.dtype)
     model.load_state_dict(state)
     _, test = _load_data(exp)
-    acc = evaluate(model, test.images, test.labels, dtype=exp.dtype)
+    acc = evaluate(model, test.images, test.labels)
     print(f"accuracy {acc:.4f}")
     return 0
 

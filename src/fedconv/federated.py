@@ -13,18 +13,20 @@ step (the mean itself, fedbn's kept batch-norm entries or Yogi's adaptive
 step) then writes the global model in place, and the global state is views
 of that model's own arena and buffers, so the global weights exist once.
 
-A client is state, not a model: its optimizer moments, data-order rng, step
-count and, under fedbn, its own batch-norm entries. A run keeps
-min(threads, clients) worker models; each local update loads the broadcast
-state and the client's local entries into a free worker, so every parameter
-and buffer is overwritten before training and the worker a client lands on
-cannot change results.
+A client is state, not a model: its optimizer (whose step count `t` is the
+client's clock on the lr schedule), data-order rng and, under fedbn, its own
+batch-norm entries. A run keeps min(threads, clients) worker models; each
+local update loads the broadcast state and the client's local entries into a
+free worker, so every parameter and buffer is overwritten before training
+and the worker a client lands on cannot change results. The optimizer holds
+no arena: each step is handed the worker's.
 
 Client optimizer state persists across rounds and is never aggregated or
 reset. Any object exposing the small model surface used here (forward,
 named_parameters returning a `ParamArena`, named_buffers, zero_grad,
-load_state_dict, train/eval, bn_param_names, head_param_names)
-can stand in for a Network, which keeps toy models testable.
+load_state_dict, train/eval, bn_param_names, head_param_names, and `dtype`,
+which input batches are cast to) can stand in for a Network, which keeps toy
+models testable.
 """
 
 from __future__ import annotations
@@ -84,10 +86,10 @@ class FLMethodConfig:
 
 
 class ClientState:
-    """One simulated client. Optimizer state, the data-order rng and the
-    `local` entries (a fedbn client's own batch-norm state) persist across
-    rounds; the sample count is the index-list length (shared-pool entries
-    included under the share method)."""
+    """One simulated client. Optimizer state (its step count included), the
+    data-order rng and the `local` entries (a fedbn client's own batch-norm
+    state) persist across rounds; the sample count is the index-list length
+    (shared-pool entries included under the share method)."""
 
     def __init__(self, client_id: int, indices, optimizer,
                  rng: np.random.Generator, local: dict | None = None):
@@ -96,7 +98,6 @@ class ClientState:
         self.optimizer = optimizer
         self.rng = rng
         self.local = local if local is not None else {}
-        self.step_count = 0
 
     @property
     def n_k(self) -> int:
@@ -123,10 +124,10 @@ def apply_prox_grads(params, mu: float, w_ref: np.ndarray) -> None:
 
 def train_epochs(model, optimizer, dataset: Dataset, indices, rng, *,
                  epochs: int, batch_size: int, schedule: LrSchedule,
-                 agc_cfg: AGCConfig | None = None, prox=None,
-                 step_count: int = 0, dtype=np.float32) -> tuple[int, float]:
-    """Mini-batch training passes over `indices`; returns the advanced step
-    count and the sample-weighted mean loss. `prox` is (mu, flat reference
+                 agc_cfg: AGCConfig | None = None, prox=None) -> float:
+    """Mini-batch training passes over `indices` at the model's dtype;
+    returns the sample-weighted mean loss. Each step's lr is the schedule's
+    at the optimizer's step count `t`. `prox` is (mu, flat reference
     weights) adding mu * (w - w_ref) to every trainable gradient."""
     model.train()
     indices = np.asarray(indices)
@@ -141,7 +142,7 @@ def train_epochs(model, optimizer, dataset: Dataset, indices, rng, *,
         perm = rng.permutation(n)
         for lo in range(0, n, batch_size):
             sel = indices[perm[lo:lo + batch_size]]
-            xb = Tensor(to_input(dataset.images[sel], dtype))
+            xb = Tensor(to_input(dataset.images[sel], model.dtype))
             loss = softmax_cross_entropy(model.forward(xb), dataset.labels[sel])
             model.zero_grad()
             loss.backward()
@@ -149,17 +150,16 @@ def train_epochs(model, optimizer, dataset: Dataset, indices, rng, *,
                 apply_prox_grads(params, prox[0], prox[1])
             if agc_cfg is not None:
                 clip_model_grads(params, agc_cfg, model.head_param_names())
-            optimizer.step(lr_at(schedule, step_count, steps_per_epoch))
-            step_count += 1
+            optimizer.step(params, lr_at(schedule, optimizer.t, steps_per_epoch))
             loss_sum += float(loss.data) * len(sel)
             seen += len(sel)
-    return step_count, loss_sum / seen
+    return loss_sum / seen
 
 
 def local_update(client: ClientState, model, global_state: dict, *,
                  method: FLMethodConfig, dataset: Dataset, epochs: int,
                  batch_size: int, schedule: LrSchedule,
-                 agc_cfg: AGCConfig | None, dtype=np.float32):
+                 agc_cfg: AGCConfig | None):
     """One client's round on a worker `model`: load the broadcast state with
     the client's local entries over it, train with the persistent optimizer,
     store the local entries back, and return the final state and the
@@ -168,14 +168,13 @@ def local_update(client: ClientState, model, global_state: dict, *,
     if client.n_k == 0:
         raise DataError(f"client {client.id} has an empty dataset")
     model.load_state_dict({**global_state, **client.local})
-    client.optimizer.params = model.named_parameters()
     prox = None
     if method.name == "fedprox" and method.mu != 0.0:
         prox = (method.mu, model.named_parameters().data.copy())
-    client.step_count, mean_loss = train_epochs(
+    mean_loss = train_epochs(
         model, client.optimizer, dataset, client.indices, client.rng,
         epochs=epochs, batch_size=batch_size, schedule=schedule,
-        agc_cfg=agc_cfg, prox=prox, step_count=client.step_count, dtype=dtype)
+        agc_cfg=agc_cfg, prox=prox)
     state = state_views(model)
     for name, value in client.local.items():
         value[...] = state[name]
@@ -259,7 +258,7 @@ def yogi_server_step(yogi: YogiState, global_state: dict, avg: dict,
 def run_round(global_model: Network, global_state: dict, yogi, clients, *,
               workers, method: FLMethodConfig, dataset: Dataset,
               test_set: Dataset, round_idx: int, epochs: int, batch_size: int,
-              schedule: LrSchedule, agc_cfg: AGCConfig | None, dtype,
+              schedule: LrSchedule, agc_cfg: AGCConfig | None,
               threads: int = 1, all_client_sizes=None) -> RoundRecord:
     """Broadcast -> parallel local updates folded into the weighted mean ->
     server step -> evaluate. Returns the round's record; the server step
@@ -313,7 +312,7 @@ def run_round(global_model: Network, global_state: dict, yogi, clients, *,
                 state, loss = local_update(
                     client, model, global_state, method=method,
                     dataset=dataset, epochs=epochs, batch_size=batch_size,
-                    schedule=schedule, agc_cfg=agc_cfg, dtype=dtype)
+                    schedule=schedule, agc_cfg=agc_cfg)
                 fold(rank, client, state, loss)
             except BaseException as exc:  # raised below once all threads stop
                 with lock:
@@ -347,8 +346,7 @@ def run_round(global_model: Network, global_state: dict, yogi, clients, *,
         # Evaluation reuses the memory of the mean and the server step.
         del new_state
         mean.clear()
-        accuracy = evaluate(global_model, test_set.images, test_set.labels,
-                            dtype=dtype)
+        accuracy = evaluate(global_model, test_set.images, test_set.labels)
     return RoundRecord(round=round_idx, accuracy=accuracy, loss=loss_sum / total,
                        client_sizes=list(all_client_sizes or []),
                        seconds=sw.seconds)
@@ -408,13 +406,12 @@ def run_federated(exp, threads: int = 1, round_checkpoint=None,
     state); `capture`, when given, receives the final state, model, and
     clients so a caller can persist optimizer state."""
     method = exp.fl.method
-    dtype = exp.dtype
     train, test = _load_data(exp)
     partition, ks = _build_partition(exp, train)
     if method.name == "share":
         partition = build_shared_pool(partition, method.fraction, exp.seed)
 
-    global_model = Network(exp.arch, dtype)
+    global_model = Network(exp.arch, exp.dtype)
     global_model.init_params(np.random.default_rng([exp.seed, 11]))
     global_state = state_views(global_model)
     trainable = list(global_model.named_parameters().keys())
@@ -422,8 +419,8 @@ def run_federated(exp, threads: int = 1, round_checkpoint=None,
             if method.name == "fedyogi" else None)
 
     # Every Network of a config has the same registry, so the global one
-    # shapes each client's optimizer; local_update rebinds it to a worker.
-    # The initial global BN entries are a fresh Network's defaults.
+    # shapes each client's optimizer, which then steps the worker arena it is
+    # handed. The initial global BN entries are a fresh Network's defaults.
     bn = global_model.bn_param_names() if method.name == "fedbn" else set()
     clients = [
         ClientState(cid, partition[cid],
@@ -431,13 +428,13 @@ def run_federated(exp, threads: int = 1, round_checkpoint=None,
                     np.random.default_rng([exp.seed, 101, cid]),
                     {n: v.copy() for n, v in global_state.items() if n in bn})
         for cid in sorted(partition)]
-    workers = [Network(exp.arch, dtype)
+    workers = [Network(exp.arch, exp.dtype)
                for _ in range(max(1, min(threads, len(clients))))]
     sizes = [c.n_k for c in clients]
     schedule = _make_schedule(exp.optimizer, method)
 
     with StopWatch() as sw0:
-        acc0 = evaluate(global_model, test.images, test.labels, dtype=dtype)
+        acc0 = evaluate(global_model, test.images, test.labels)
     records = [RoundRecord(0, acc0, None, list(sizes), sw0.seconds)]
     if round_checkpoint:
         round_checkpoint(0, global_state)
@@ -454,8 +451,8 @@ def run_federated(exp, threads: int = 1, round_checkpoint=None,
             global_model, global_state, yogi, participating, workers=workers,
             method=method, dataset=train, test_set=test, round_idx=r,
             epochs=exp.fl.local_epochs, batch_size=exp.fl.batch_size,
-            schedule=schedule, agc_cfg=exp.optimizer.agc, dtype=dtype,
-            threads=threads, all_client_sizes=sizes)
+            schedule=schedule, agc_cfg=exp.optimizer.agc, threads=threads,
+            all_client_sizes=sizes)
         records.append(record)
         if round_checkpoint:
             round_checkpoint(r, global_state)

@@ -131,9 +131,10 @@ def clip_model_grads(named_params: ParamArena, cfg: AGCConfig,
 
 
 class _Optimizer:
-    """State shared by the optimizers: the arena they step, the step count
-    `t`, and flat per-parameter slots (moments, momentum buffer) in arena
-    order. A slot is None when the configuration does not use it."""
+    """State shared by the optimizers: the step count `t` and flat
+    per-parameter slots (moments, momentum buffer) in arena order, None when
+    unused. An optimizer holds no arena: the one it is built with shapes the
+    slots, and `step(params, lr)` steps the arena it is handed."""
 
     slots: tuple[str, ...] = ()
 
@@ -158,7 +159,6 @@ class AdamW(_Optimizer):
 
     def __init__(self, params: ParamArena, betas=(0.9, 0.999),
                  eps: float = 1e-8, weight_decay: float = 0.0):
-        self.params = params
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
@@ -166,11 +166,11 @@ class AdamW(_Optimizer):
         self.m = np.zeros_like(params.data)
         self.v = np.zeros_like(params.data)
 
-    def step(self, lr: float) -> None:
+    def step(self, params: ParamArena, lr: float) -> None:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        w, g = self.params.data, self.params.grad
+        w, g = params.data, params.grad
         if self.weight_decay:
             w *= 1.0 - lr * self.weight_decay
         self.m *= self.beta1
@@ -191,14 +191,13 @@ class SGD(_Optimizer):
     slots = ("buf",)
 
     def __init__(self, params: ParamArena, momentum: float = 0.0):
-        self.params = params
         self.momentum = momentum
         self.t = 0
         self.buf = np.zeros_like(params.data) if momentum else None
 
-    def step(self, lr: float) -> None:
+    def step(self, params: ParamArena, lr: float) -> None:
         self.t += 1
-        w, g = self.params.data, self.params.grad
+        w, g = params.data, params.grad
         if self.buf is not None:
             self.buf *= self.momentum
             self.buf += g

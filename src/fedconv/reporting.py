@@ -64,13 +64,14 @@ class ExperimentReport:
 
 
 def evaluate(model, images_u8: np.ndarray, labels: np.ndarray, *,
-             batch_size: int = 128, dtype=np.float32) -> float:
-    """Global accuracy in percent: argmax over logits, eval-mode normalizers."""
+             batch_size: int = 128) -> float:
+    """Global accuracy in percent: argmax over logits, eval-mode normalizers,
+    input batches at the model's dtype."""
     model.eval()
     correct = 0
     with ad.no_grad():
         for lo in range(0, len(labels), batch_size):
-            xb = Tensor(to_input(images_u8[lo:lo + batch_size], dtype))
+            xb = Tensor(to_input(images_u8[lo:lo + batch_size], model.dtype))
             logits = model.forward(xb)
             correct += int(np.sum(logits.data.argmax(axis=1) == labels[lo:lo + batch_size]))
     return 100.0 * correct / len(labels)

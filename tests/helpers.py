@@ -365,9 +365,8 @@ def central_train(exp, round_checkpoint=None, capture=None):
     configured method. Returns the report with `partition_mean_ks` None;
     `round_checkpoint(r, state)` gets copies of the state after every
     evaluation, and `capture` receives the final state, model and optimizer."""
-    dtype = exp.dtype
     train, test = _load_data(exp)
-    model = Network(exp.arch, dtype)
+    model = Network(exp.arch, exp.dtype)
     model.init_params(np.random.default_rng([exp.seed, 11]))
     optimizer = _make_optimizer(exp.optimizer, model.named_parameters())
     rng = np.random.default_rng([exp.seed, 101, 0])
@@ -375,19 +374,18 @@ def central_train(exp, round_checkpoint=None, capture=None):
     indices = np.arange(len(train))
 
     with StopWatch() as sw0:
-        acc0 = evaluate(model, test.images, test.labels, dtype=dtype)
+        acc0 = evaluate(model, test.images, test.labels)
     records = [RoundRecord(0, acc0, None, [len(train)], sw0.seconds)]
     if round_checkpoint:
         round_checkpoint(0, model.state_dict())
 
-    step_count = 0
     for e in range(1, exp.fl.rounds * exp.fl.local_epochs + 1):
         with StopWatch() as sw:
-            step_count, mean_loss = train_epochs(
+            mean_loss = train_epochs(
                 model, optimizer, train, indices, rng, epochs=1,
                 batch_size=exp.fl.batch_size, schedule=schedule,
-                agc_cfg=exp.optimizer.agc, step_count=step_count, dtype=dtype)
-            acc = evaluate(model, test.images, test.labels, dtype=dtype)
+                agc_cfg=exp.optimizer.agc)
+            acc = evaluate(model, test.images, test.labels)
         records.append(RoundRecord(e, acc, mean_loss, [len(train)], sw.seconds))
         if round_checkpoint:
             round_checkpoint(e, model.state_dict())

@@ -326,15 +326,13 @@ def test_c11_normalization_free_trainability():
     agc = AGCConfig(clipping=0.01, eps=1e-3)
     indices = np.arange(len(train))
 
-    steps = 0
     reached = None
-    while steps < 300:
-        steps, _ = train_epochs(net, opt, train, indices, rng, epochs=1,
-                                batch_size=32, schedule=schedule, agc_cfg=agc,
-                                step_count=steps)
+    while opt.t < 300:
+        train_epochs(net, opt, train, indices, rng, epochs=1, batch_size=32,
+                     schedule=schedule, agc_cfg=agc)
         acc = evaluate(net, train.images, train.labels)
         if acc >= 95.0:
-            reached = (steps, acc)
+            reached = (opt.t, acc)
             break
     elapsed = time.perf_counter() - started
     assert reached is not None, "never reached 95% train accuracy in 300 steps"

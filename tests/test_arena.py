@@ -66,10 +66,14 @@ def test_views_survive_local_update_on_a_worker():
     ds = synth_dataset(5, 4, 8, 32)
     client = ClientState(0, np.arange(len(ds)), AdamW(global_model.named_parameters()),
                          np.random.default_rng(6))
+    global_before = global_model.named_parameters().data.copy()
     local_update(client, worker, global_model.state_dict(),
                  method=FLMethodConfig("fedprox", mu=0.1), dataset=ds, epochs=1,
                  batch_size=16, schedule=LrSchedule(1e-3, 0, 4), agc_cfg=AGCConfig())
-    assert client.optimizer.params is worker.named_parameters()
+    # The steps landed in the worker's arena; the global model's arena, which
+    # shaped the optimizer, is bitwise untouched.
+    assert np.any(worker.named_parameters().data != global_before)
+    assert global_model.named_parameters().data.tobytes() == global_before.tobytes()
     assert_in_arena(worker)
     assert_in_arena(global_model)
     assert worker.named_parameters().grad.any()

@@ -3,10 +3,13 @@
 Forward values are compared with the six-loop oracle, gradients with central
 differences. Padding is drawn up to k + 1, so some cases crop the kernel to
 a few live taps and some make the stride-1 input gradient crop the output
-gradient (padding >= k). Batches of up to 3 keep a mix-up of the batch and
-space axes in the batch-innermost column layout from passing. Column
-matrices built in blocks of output rows must give bitwise the single-GEMM
-result, and the ResNet stem's forward-only peak memory stays bounded.
+gradient (padding >= k). Half the strides are drawn up to the map size plus
+both paddings and one, so some windows lie wholly in the padding and no tap
+is live: the output is the bias and both gradients are zero. Batches of up
+to 3 keep a mix-up of the batch and space axes in the batch-innermost column
+layout from passing. Column matrices built in blocks of output rows must
+give bitwise the single-GEMM result, and the ResNet stem's forward-only peak
+memory stays bounded.
 
 Depth-wise convs are drawn on their own, on maps of up to 12x12 with
 kernels up to 9: conv2d runs those on small maps as one GEMM against
@@ -18,6 +21,7 @@ import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +30,12 @@ from fedconv.autodiff import Tensor
 from fedconv.gradcheck import finite_diff_check
 
 from helpers import loop_conv2d_grads, naive_conv2d
+
+
+def strides(size, padding):
+    """Strides 1-3 half the time; else up to `size` + 2 * `padding` + 1, past
+    the last stride at which a window can reach the map."""
+    return st.one_of(st.integers(1, 3), st.integers(1, size + 2 * padding + 1))
 
 
 @st.composite
@@ -37,8 +47,8 @@ def conv_cases(draw):
     w = draw(st.sampled_from([v for v in range(smallest, smallest + 4) if v != h]))
     return dict(n=draw(st.integers(1, 3)), groups=draw(st.integers(1, 3)),
                 cin_g=draw(st.integers(1, 2)), cout_g=draw(st.integers(1, 2)),
-                h=h, w=w, k=k, stride=draw(st.integers(1, 3)), padding=padding,
-                seed=draw(st.integers(0, 2**32 - 1)))
+                h=h, w=w, k=k, stride=draw(strides(max(h, w), padding)),
+                padding=padding, seed=draw(st.integers(0, 2**32 - 1)))
 
 
 def _arrays(case):
@@ -61,6 +71,7 @@ COVERED = [
     _case(k=3, padding=4, stride=1, h=2, w=1),   # padding >= k
     _case(k=2, padding=3, stride=3, h=1, w=4),
     _case(k=7, padding=3, stride=1, h=2, w=1, groups=3),  # few live taps
+    _case(k=1, padding=2, stride=5, h=1, w=3),   # rows wholly in padding
     # The stage-0 shape of the FedConv recipe in small: k9 depth-wise, same
     # padding, a 2x2 map and a batch of 3 beside the batch-innermost columns.
     dict(n=3, groups=4, cin_g=1, cout_g=1, h=2, w=2, k=9, stride=1,
@@ -171,9 +182,9 @@ def depthwise_cases(draw):
     k = draw(st.integers(1, 9))
     h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     least = max(0, -(-(k - min(h, w)) // 2))
+    padding = draw(st.integers(least, k + 1))
     return dict(n=draw(st.integers(1, 5)), c=draw(st.integers(1, 3)), h=h, w=w,
-                k=k, stride=draw(st.integers(1, 3)),
-                padding=draw(st.integers(least, k + 1)),
+                k=k, stride=draw(strides(max(h, w), padding)), padding=padding,
                 dtype=draw(st.sampled_from([np.float32, np.float64])),
                 seed=draw(st.integers(0, 2**32 - 1)))
 
@@ -226,6 +237,8 @@ def _depthwise_run(case, x, w, b, gy, rule=None):
                    dtype=np.float32, seed=8))   # fedconv_skew's stage 0
 @example(case=dict(n=1, c=2, h=1, w=4, k=3, stride=3, padding=3,
                    dtype=np.float64, seed=3))   # unreached live taps
+@example(case=dict(n=2, c=3, h=2, w=1, k=2, stride=7, padding=3,
+                   dtype=np.float32, seed=5))   # no live tap at all
 def test_depthwise_conv2d_matches_loop_oracles_on_both_sides_of_the_rule(case):
     x, w, b = _depthwise_arrays(case)
     s, p, c = case["stride"], case["padding"], case["c"]
@@ -259,6 +272,23 @@ def test_spatial_operator_gradients_match_finite_differences(case):
                                      padding=case["padding"], groups=case["c"]),
         [x, w, b])
     assert err < 1e-6
+
+
+@pytest.mark.parametrize("c", [1, 2], ids=["depthwise", "dense"])
+def test_window_wholly_in_padding_gives_the_bias(c):
+    # Stride 5 over a 1x1 map padded by 2: the only window starts two pixels
+    # before the map and ends before it, so no kernel tap reaches a pixel.
+    # One channel takes the depth-wise path, two the dense one.
+    x = Tensor(np.ones((1, c, 1, 1)), requires_grad=True)
+    w = Tensor(np.ones((1, c, 1, 1)), requires_grad=True)
+    b = Tensor(np.array([0.5]), requires_grad=True)
+    out = ad.conv2d(x, w, b, stride=5, padding=2)
+    assert out.shape == (1, 1, 1, 1)
+    assert out.data.tobytes() == np.full((1, 1, 1, 1), 0.5).tobytes()
+    out.backward()
+    assert x.grad.tobytes() == np.zeros((1, c, 1, 1)).tobytes()
+    assert w.grad.tobytes() == np.zeros((1, c, 1, 1)).tobytes()
+    assert b.grad.tolist() == [1.0]
 
 
 def test_training_conv_keeps_no_column_matrix():

@@ -1,5 +1,6 @@
 """Federated orchestration: local updates, aggregation rules, round loop."""
 
+import math
 import sys
 import threading
 import tracemalloc
@@ -18,7 +19,7 @@ from fedconv.federated import (ClientState, FLMethodConfig, YogiState,
                                apply_prox_grads, local_update, run_federated,
                                train_epochs, yogi_server_step)
 from fedconv.models import Network, count_params
-from fedconv.optim import LrSchedule, ParamArena, SGD
+from fedconv.optim import LrSchedule, ParamArena, SGD, lr_at
 
 from helpers import central_train
 
@@ -28,6 +29,7 @@ class ToyModel:
     the model surface the round loop relies on."""
 
     def __init__(self, num_classes=2, dtype=np.float64):
+        self.dtype = np.dtype(dtype)
         self.w = Tensor(np.zeros((num_classes, 3), dtype=dtype), requires_grad=True)
         self._params = ParamArena([("head.weight", self.w)])
 
@@ -247,7 +249,7 @@ class TestLocalUpdate:
         state, _ = local_update(
             client, model, global_state, method=FLMethodConfig("fedavg"), dataset=ds,
             epochs=1, batch_size=len(idx), schedule=flat_schedule(gamma),
-            agc_cfg=None, dtype=np.float64)
+            agc_cfg=None)
         # hand gradient of mean cross-entropy for the linear probe
         feats = to_input(ds.images[idx], np.float64).mean(axis=(2, 3))
         z = feats @ w0.T
@@ -274,7 +276,7 @@ class TestLocalUpdate:
             state, _ = local_update(
                 client, model, {"head.weight": np.zeros((2, 3))}, method=method,
                 dataset=ds, epochs=2, batch_size=8,
-                schedule=flat_schedule(0.3), agc_cfg=None, dtype=np.float64)
+                schedule=flat_schedule(0.3), agc_cfg=None)
             return state["head.weight"]
 
         a = run(FLMethodConfig("fedavg"))
@@ -291,7 +293,7 @@ class TestLocalUpdate:
                 client, model, {"head.weight": np.zeros((2, 3))},
                 method=FLMethodConfig("fedprox", mu=mu), dataset=ds,
                 epochs=8, batch_size=len(idx), schedule=flat_schedule(0.2),
-                agc_cfg=None, dtype=np.float64)
+                agc_cfg=None)
             return np.linalg.norm(state["head.weight"])
 
         assert run(1.0) < run(0.0)  # keep lr*mu < 1 so the prox map contracts
@@ -303,6 +305,28 @@ class TestLocalUpdate:
             local_update(client, model, {"head.weight": np.zeros((2, 3))},
                          method=FLMethodConfig("fedavg"), dataset=ds, epochs=1,
                          batch_size=4, schedule=flat_schedule(), agc_cfg=None)
+
+    def test_step_lr_is_the_schedule_at_the_optimizer_clock(self):
+        # A client that has taken k steps is k steps into its warmup: its
+        # next full-batch step uses lr_at(schedule, k), not the lr of step 0.
+        ds = synth_dataset(0, 2, 8, 32)
+        idx = np.arange(len(ds))
+        schedule = LrSchedule(base_lr=0.5, warmup_epochs=4, total_epochs=10)
+        k = 3
+        model = ToyModel()
+        opt = SGD(model.named_parameters())
+        opt.load_state_dict({"t": k})
+        perm = np.random.default_rng(7).permutation(len(idx))
+        probe = ToyModel()
+        ad.softmax_cross_entropy(
+            probe.forward(Tensor(to_input(ds.images[idx[perm]], np.float64))),
+            ds.labels[idx[perm]]).backward()
+        g = probe.w.grad.copy()
+        train_epochs(model, opt, ds, idx, np.random.default_rng(7), epochs=1,
+                     batch_size=len(idx), schedule=schedule)
+        lr = lr_at(schedule, k, 1)
+        assert lr > 0 and opt.t == k + 1
+        assert model.w.data.tobytes() == (0.0 - g * lr).tobytes()
 
 
 class TestRunFederated:
@@ -436,7 +460,21 @@ class TestRunFederated:
         for client in capture["clients"]:
             # 12*4/2 = 24 samples per client, batch 16 -> 2 steps per round
             assert client.optimizer.t == 3 * 2
-            assert client.step_count == 3 * 2
+
+    def test_client_clock_counts_only_its_own_rounds(self):
+        exp = toy_experiment(**{"data.num_clients": 4, "fl.clients_per_round": 2,
+                                "fl.rounds": 4, "data.per_class": 20})
+        capture = {}
+        run_federated(exp, capture=capture)
+        taken = np.zeros(4, dtype=np.int64)
+        for r in range(1, 5):
+            rng = np.random.default_rng([exp.seed, 61, r])
+            taken[rng.choice(4, size=2, replace=False)] += 1
+        assert len(set(taken.tolist())) > 1  # some client sat rounds out
+        for client in capture["clients"]:
+            # 20*4/4 = 20 samples per client, batch 16 -> 2 steps per round
+            assert client.optimizer.t == taken[client.id] * math.ceil(
+                client.n_k / exp.fl.batch_size) == taken[client.id] * 2
 
     def test_threads_do_not_change_results(self):
         exp1 = toy_experiment(**{"data.num_clients": 4, "fl.rounds": 2})
@@ -581,7 +619,7 @@ class TestRunFederated:
         loss.backward()
         assert np.any(used.grad != 0)
         np.testing.assert_array_equal(unused.grad, np.zeros((2, 3)))
-        PlainSGD(params).step(lr=0.1)  # no missing-grad error
+        PlainSGD(params).step(params, lr=0.1)  # no missing-grad error
 
     def test_early_stop_at_target(self):
         exp = toy_experiment(**{"fl.rounds": 50, "target_accuracy": 1.0})
@@ -624,7 +662,7 @@ def test_round_memory_does_not_grow_with_clients():
                       workers=[worker], method=FLMethodConfig("fedavg"),
                       dataset=ds, test_set=ds, round_idx=1, epochs=1,
                       batch_size=4, schedule=flat_schedule(0.1), agc_cfg=None,
-                      dtype=np.float64, threads=1)
+                      threads=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

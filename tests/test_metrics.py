@@ -27,6 +27,7 @@ class FixedLogitsModel:
     def __init__(self, logits_fn, num_classes):
         self.logits_fn = logits_fn
         self.num_classes = num_classes
+        self.dtype = np.dtype(np.float32)
 
     def eval(self):
         return self

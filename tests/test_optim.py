@@ -20,7 +20,7 @@ class TestAdamW:
     def test_zero_grad_zero_wd_leaves_params(self):
         p = params_of([np.array([1.0, -2.0])])
         p["p0"].grad[...] = 0.0
-        AdamW(p).step(lr=0.1)
+        AdamW(p).step(p, lr=0.1)
         np.testing.assert_array_equal(p["p0"].data, [1.0, -2.0])
 
     def test_single_step_hand_value(self):
@@ -28,14 +28,14 @@ class TestAdamW:
         # -lr / (1 + eps), evaluated here at float64.
         p = params_of([np.array([0.0])])
         p["p0"].grad[...] = np.array([1.0])
-        AdamW(p).step(lr=0.1)
+        AdamW(p).step(p, lr=0.1)
         expected = -0.1 * 1.0 / (1.0 + 1e-8)
         assert abs(p["p0"].data[0] - expected) < 1e-15
 
     def test_decay_one_over_lr_zeroes_before_update(self):
         p = params_of([np.array([3.0])])
         p["p0"].grad[...] = np.array([0.0])
-        AdamW(p, weight_decay=10.0).step(lr=0.1)
+        AdamW(p, weight_decay=10.0).step(p, lr=0.1)
         assert p["p0"].data[0] == 0.0
 
     def test_scale_equivariance_up_to_eps(self):
@@ -45,7 +45,7 @@ class TestAdamW:
         def update(scale):
             p = params_of([np.zeros(16)])
             p["p0"].grad[...] = g * scale
-            AdamW(p).step(lr=0.05)
+            AdamW(p).step(p, lr=0.05)
             return p["p0"].data.copy()
 
         np.testing.assert_allclose(update(1.0), update(10.0), atol=1e-6)
@@ -57,7 +57,7 @@ class TestAdamW:
         for _ in range(3):
             for t in p.values():
                 t.grad[...] = rng.standard_normal(t.data.shape)
-            opt.step(lr=0.01)
+            opt.step(p, lr=0.01)
         state = opt.state_dict()
         # Flat arrays in arena order, not one entry per parameter.
         assert list(state) == ["t", "m", "v"]
@@ -72,13 +72,13 @@ class TestSGD:
     def test_plain_step(self):
         p = params_of([np.array([5.0])])
         p["p0"].grad[...] = np.array([2.0])
-        SGD(p).step(lr=1.0)
+        SGD(p).step(p, lr=1.0)
         assert p["p0"].data[0] == 3.0
 
     def test_zero_lr_is_identity(self):
         p = params_of([np.array([5.0])])
         p["p0"].grad[...] = np.array([2.0])
-        SGD(p, momentum=0.9).step(lr=0.0)
+        SGD(p, momentum=0.9).step(p, lr=0.0)
         assert p["p0"].data[0] == 5.0
 
     def test_momentum_two_step_recurrence(self):
@@ -86,9 +86,9 @@ class TestSGD:
         p = params_of([np.array([0.0])])
         opt = SGD(p, momentum=0.9)
         p["p0"].grad[...] = np.array([1.0])
-        opt.step(lr=0.1)
+        opt.step(p, lr=0.1)
         p["p0"].grad[...] = np.array([2.0])
-        opt.step(lr=0.1)
+        opt.step(p, lr=0.1)
         expected = -0.1 * 1.0 - 0.1 * (0.9 * 1.0 + 2.0)
         assert abs(p["p0"].data[0] - expected) < 1e-15
 
@@ -96,7 +96,7 @@ class TestSGD:
         p = params_of([np.ones(3)])
         opt = SGD(p, momentum=0.9)
         p["p0"].grad[...] = np.array([1.0, 2.0, 3.0])
-        opt.step(lr=0.1)
+        opt.step(p, lr=0.1)
         state = opt.state_dict()
         assert list(state) == ["t", "buf"] and state["buf"].shape == p.data.shape
         assert list(SGD(p).state_dict()) == ["t"]
@@ -225,7 +225,7 @@ class TestFlatStepsMatchLoops:
             for t, g in zip(arena.values(), grads):
                 t.grad[...] = g
             lr = 0.01 * (k + 1)
-            flat.step(lr)
+            flat.step(arena, lr)
             loop.step(grads, lr)
         for t, want in zip(arena.values(), loop_params):
             assert t.data.tobytes() == want.tobytes()

@@ -2,7 +2,8 @@
 
 Inputs are small integers, so windows often tie and the first-maximal
 routing is exercised; padding is drawn up to k - 1, so edge windows mix
-real pixels with padding. Forward values and input gradients must match the
+real pixels with padding. Half the strides are drawn up to the map size plus
+both paddings and one, so a stride can skip every window after the first. Forward values and input gradients must match the
 oracle bit for bit: each pixel sums its windows' gradients in window order.
 """
 
@@ -14,6 +15,7 @@ from fedconv import autodiff as ad
 from fedconv.autodiff import Tensor
 
 from helpers import loop_maxpool2d
+from test_conv_property import strides
 
 
 @st.composite
@@ -21,10 +23,10 @@ def pool_cases(draw):
     k = draw(st.integers(1, 4))
     padding = draw(st.integers(0, k - 1))
     smallest = max(1, k - 2 * padding)
-    return dict(n=draw(st.integers(1, 2)), c=draw(st.integers(1, 3)),
-                h=draw(st.integers(smallest, smallest + 5)),
-                w=draw(st.integers(smallest, smallest + 5)), k=k,
-                stride=draw(st.integers(1, 3)), padding=padding,
+    h = draw(st.integers(smallest, smallest + 5))
+    w = draw(st.integers(smallest, smallest + 5))
+    return dict(n=draw(st.integers(1, 2)), c=draw(st.integers(1, 3)), h=h, w=w,
+                k=k, stride=draw(strides(max(h, w), padding)), padding=padding,
                 levels=draw(st.integers(1, 6)),
                 dtype=draw(st.sampled_from([np.float32, np.float64])),
                 seed=draw(st.integers(0, 2**32 - 1)))
