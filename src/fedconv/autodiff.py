@@ -229,15 +229,16 @@ def _axis(size: int, k: int, before: int, after: int, s: int):
     return out, lo, hi, start, start + (out - 1) * s + hi - lo
 
 
-def _slab(xt: np.ndarray, h0: int, h1: int, w0: int, w1: int) -> np.ndarray:
-    """Contiguous xt[:, h0:h1, w0:w1] of a (C, H, W, N) array, reading zeros
+def _slab(xt: np.ndarray, h0: int, h1: int, w0: int, w1: int, fill: float = 0) -> np.ndarray:
+    """Contiguous xt[:, h0:h1, w0:w1] of a (C, H, W, N) array, reading `fill`
     where the range leaves the array; transposing views are copied once."""
     c, h, w, n = xt.shape
     a0, a1, b0, b1 = max(h0, 0), min(h1, h), max(w0, 0), min(w1, w)
     core = xt[:, a0:a1, b0:b1]
     if (a0, a1, b0, b1) == (h0, h1, w0, w1):
         return np.ascontiguousarray(core)
-    xs = np.zeros((c, h1 - h0, w1 - w0, n), dtype=xt.dtype)
+    shape = (c, h1 - h0, w1 - w0, n)
+    xs = np.full(shape, fill, xt.dtype) if fill else np.zeros(shape, xt.dtype)
     xs[:, a0 - h0:a1 - h0, b0 - w0:b1 - w0] = core
     return xs
 
@@ -256,20 +257,20 @@ _BLOCK_ALIGN = 64
 
 
 def _windows(xt: np.ndarray, kh: int, kw: int, stride: int, pad_h: tuple,
-             pad_w: tuple):
+             pad_w: tuple, fill: float = 0):
     """Read-only (C, kh', kw', Hout, Wout, N) view of the correlation windows
     of a (C, H, W, N) input over the live taps of a kh x kw kernel, and the
     geometry `(hout, wout, th, tw, ih, iw)`: live tap ranges `th`/`tw` and
     input ranges `ih`/`iw` as (start, stop) pairs.
 
-    `pad_h` and `pad_w` are (before, after) zero padding per axis; negative
-    amounts crop. A 1x1 window over the whole input is the input itself, so
-    its view is C-contiguous and reshaping it copies nothing.
+    `pad_h` and `pad_w` are (before, after) padding per axis, read as `fill`;
+    negative amounts crop. A 1x1 window over the whole input is the input
+    itself, so its view is C-contiguous and reshaping it copies nothing.
     """
     cin, h, w, n = xt.shape
     hout, th0, th1, ih0, ih1 = _axis(h, kh, *pad_h, stride)
     wout, tw0, tw1, iw0, iw1 = _axis(w, kw, *pad_w, stride)
-    xs = _slab(xt, ih0, ih1, iw0, iw1)
+    xs = _slab(xt, ih0, ih1, iw0, iw1, fill)
     sc, sh, sw, sn = xs.strides
     # The ndarray constructor, not `as_strided`: the same view at a fraction
     # of the per-call cost.
@@ -534,23 +535,30 @@ def _conv_input_grad(gt: np.ndarray, wd: np.ndarray, stride: int, p: int,
         q = k - 1 - p
         gx = _correlate(gt, wf, 1, (q, q), (q, q), groups)[0]
         return gx.transpose(3, 0, 1, 2)
-    hout, wout, (th0, th1), (tw0, tw1), (ih0, ih1), (iw0, iw1) = geom
+    hout, wout, (th0, th1), (tw0, tw1) = geom[:4]
     kh, kw = th1 - th0, tw1 - tw0
     wm = wd[:, :, th0:th1, tw0:tw1].reshape(groups, og, cin_g * kh * kw)
     gcols = np.matmul(wm.transpose(0, 2, 1), gt.reshape(groups, og, -1))
-    gcols = gcols.reshape(cin, kh, kw, hout, wout, n)
-    gs = np.zeros((cin, ih1 - ih0, iw1 - iw0, n), dtype=gcols.dtype)
-    for i in range(kh):
-        for j in range(kw):
+    return _scatter_windows(gcols.reshape(cin, kh, kw, hout, wout, n), stride, geom, h, w)
+
+
+def _scatter_windows(gcols: np.ndarray, stride: int, geom: tuple, h: int,
+                     w: int) -> np.ndarray:
+    """Input gradient, as an (N, C, h, w) view of (C, h, w, N) memory, of a
+    windowed op with (C, kh', kw', Hout, Wout, N) window gradients `gcols`
+    and `_windows` geometry `geom`. Taps are visited in descending order, so
+    each pixel sums its windows in ascending window order."""
+    cin, kh, kw, hout, wout, n = gcols.shape
+    (ih0, ih1), (iw0, iw1) = geom[4:]
+    # Slab and input share one buffer, so the input's share is a view of it.
+    h0, w0 = min(ih0, 0), min(iw0, 0)
+    buf = np.zeros((cin, max(ih1, h) - h0, max(iw1, w) - w0, n), dtype=gcols.dtype)
+    gs = buf[:, ih0 - h0:ih1 - h0, iw0 - w0:iw1 - w0]
+    for i in range(kh - 1, -1, -1):
+        for j in range(kw - 1, -1, -1):
             gs[:, i:i + stride * hout:stride,
                j:j + stride * wout:stride] += gcols[:, i, j]
-    if (ih0, ih1, iw0, iw1) == (0, h, 0, w):
-        return gs.transpose(3, 0, 1, 2)
-    # The input's share of the slab gradient.
-    a0, a1, b0, b1 = max(ih0, 0), min(ih1, h), max(iw0, 0), min(iw1, w)
-    gx = np.zeros((cin, h, w, n), dtype=gs.dtype)
-    gx[:, a0:a1, b0:b1] = gs[:, a0 - ih0:a1 - ih0, b0 - iw0:b1 - iw0]
-    return gx.transpose(3, 0, 1, 2)
+    return buf[:, -h0:h - h0, -w0:w - w0].transpose(3, 0, 1, 2)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -584,56 +592,39 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 def maxpool2d(x: Tensor, k: int, stride: int, padding: int = 0) -> Tensor:
     """Max pooling; the subgradient routes to the first (lowest linear index)
     maximal element of each window. Forward is a running maximum over the
-    k*k strided tap views of the (-inf) padded input. Padding must be below
-    k, so every window holds a real pixel. The output is an (N, C, H, W)
-    view of (C, H, W, N) memory, like a conv2d output."""
+    live taps of conv2d's `_windows` view padded with -inf, backward conv2d's
+    `_scatter_windows`. Padding must be below k, or a window could hold only
+    padding. The output is an (N, C, H, W) view of (C, H, W, N) memory."""
     xd = x.data
     if xd.ndim != 4:
         raise ShapeError("maxpool2d expects NCHW input")
-    if k < 1 or stride < 1 or padding < 0:
-        raise ShapeError("maxpool2d: k >= 1 and stride >= 1 required")
-    if padding >= k:
-        raise ShapeError(f"maxpool2d: padding={padding} must be below k={k}, "
-                         "or a window holds only padding")
+    if k < 1 or stride < 1 or not 0 <= padding < k:
+        raise ShapeError(f"maxpool2d: k={k} >= 1, stride={stride} >= 1 and "
+                         f"0 <= padding={padding} < k required")
     n, c, h, w = xd.shape
-    hout = (h + 2 * padding - k) // stride + 1
-    wout = (w + 2 * padding - k) // stride + 1
-    if hout < 1 or wout < 1:
-        raise ShapeError("maxpool2d: kernel larger than padded input")
     p = padding
-    if p:
-        xp = np.full((c, h + 2 * p, w + 2 * p, n), -np.inf,
-                     dtype=xd.dtype).transpose(3, 0, 1, 2)
-        xp[:, :, p:p + h, p:p + w] = xd
-    else:
-        xp = xd
-    # Tap t = i * k + j reads window pixel (i, j) of every output position.
-    taps = [(slice(None), slice(None),
-             slice(i, i + stride * (hout - 1) + 1, stride),
-             slice(j, j + stride * (wout - 1) + 1, stride))
-            for i in range(k) for j in range(k)]
-    out_data = np.empty((c, hout, wout, n), dtype=xd.dtype).transpose(3, 0, 1, 2)
-    out_data[...] = xp[taps[0]]
-    for tap in taps[1:]:
-        np.maximum(out_data, xp[tap], out=out_data)
-    out, track = _result(out_data, (x,), "maxpool2d")
+    if h + 2 * p < k or w + 2 * p < k:
+        raise ShapeError("maxpool2d: kernel larger than padded input")
+    win, geom = _windows(xd.transpose(1, 2, 3, 0), k, k, stride, (p, p), (p, p), -np.inf)
+    taps = [(i, j) for i in range(win.shape[1]) for j in range(win.shape[2])]
+    out_t = win[:, 0, 0].copy()
+    for i, j in taps[1:]:
+        np.maximum(out_t, win[:, i, j], out=out_t)
+    out, track = _result(out_t.transpose(3, 0, 1, 2), (x,), "maxpool2d")
     if track:
         def _bwd():
-            # firsts[t] marks the windows whose first maximal tap is t.
-            unclaimed = np.ones_like(out_data, dtype=bool)
-            firsts = []
-            for tap in taps:
-                first = xp[tap] == out_data
+            # Tap (i, j) passes the output gradient of the windows it is the
+            # first maximum of; the others add a signed zero, which changes no
+            # sum. Tap-major memory lets the scatter read each tap as one block.
+            gcols = np.empty(win.shape[1:3] + out_t.shape, xd.dtype)
+            gcols = gcols.transpose(2, 0, 1, 3, 4, 5)
+            unclaimed = np.ones(out_t.shape, dtype=bool)
+            for i, j in taps:
+                first = win[:, i, j] == out_t
                 first &= unclaimed
                 unclaimed ^= first
-                firsts.append(first)
-            # Descending taps visit each pixel's windows in ascending window
-            # order, the summation order of a scatter-add; a window that
-            # routes elsewhere adds a signed zero, which changes no sum.
-            gxp = np.zeros_like(xp)
-            for t in range(k * k - 1, -1, -1):
-                gxp[taps[t]] += out.grad * firsts[t]
-            _accum(x, gxp[:, :, p:p + h, p:p + w])
+                np.multiply(out.grad.transpose(1, 2, 3, 0), first, out=gcols[:, i, j])
+            _accum(x, _scatter_windows(gcols, stride, geom, h, w))
         out._backward = _bwd
     return out
 

@@ -1,13 +1,14 @@
 """Experiment configuration: a JSON document validated field by field.
 
-Unknown keys are errors (they would silently corrupt an ablation), every
-invalid field is reported with its path and reason, and the only defaults
-filled in are the documented ones listed in the README schema.
+Unknown and repeated keys are errors (they would silently corrupt an
+ablation), every invalid field is reported with its path and reason, and the
+only defaults filled in are the documented ones listed in the README schema.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -80,7 +81,9 @@ def _is_int(x) -> bool:
 
 
 def _is_num(x) -> bool:
-    return (isinstance(x, (int, float)) and not isinstance(x, bool))
+    # Rejects json's NaN and Infinity, and integers float() cannot hold.
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
 
 
 class _Section:
@@ -127,7 +130,7 @@ class _Section:
         return self.field(key, _is_int, "an integer", **kw)
 
     def num_field(self, key: str, **kw):
-        v = self.field(key, _is_num, "a number", **kw)
+        v = self.field(key, _is_num, "a finite number", **kw)
         return None if v is None else float(v)
 
     def str_field(self, key: str, **kw):
@@ -345,12 +348,22 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
         raw=raw)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """json's object hook: a key given twice in one object is an error."""
+    d = {}
+    for key, value in pairs:
+        if key in d:
+            raise ConfigValidationError([f"config file: key {key!r} is given twice"])
+        d[key] = value
+    return d
+
+
 def load_config(path) -> ExperimentConfig:
     p = Path(path)
     if not p.exists():
         raise ConfigValidationError([f"config file not found: {p}"])
     try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
+        doc = json.loads(p.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except UnicodeDecodeError as e:
         raise ConfigValidationError([f"config file is not UTF-8: {e}"]) from None
     except json.JSONDecodeError as e:

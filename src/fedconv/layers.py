@@ -100,9 +100,7 @@ class MaxPool2d(Layer):
     def forward(self, x: Tensor) -> Tensor:
         return ad.maxpool2d(x, self.k, self.stride, self.padding)
 
-    def out_hw(self, h, w):
-        return ((h + 2 * self.padding - self.k) // self.stride + 1,
-                (w + 2 * self.padding - self.k) // self.stride + 1)
+    out_hw = Conv2d.out_hw  # the same window arithmetic
 
 
 class GlobalAvgPool(Layer):

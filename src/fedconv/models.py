@@ -156,17 +156,14 @@ def build_stem(kind: str, out_width: int, activation: str, norm_kind: str,
                dtype=np.float32) -> list[tuple[str, Layer]]:
     """Stem layer sequence; every variant downsamples the input by exactly 4x."""
     layers: list[tuple[str, Layer]] = []
-    if kind == "resnet":
-        layers.append(("conv1", Conv2d(3, out_width, 7, stride=2, padding=3, dtype=dtype)))
+    if kind in ("resnet", "resnet_nopool"):
+        stride = 2 if kind == "resnet" else 4
+        layers.append(("conv1", Conv2d(3, out_width, 7, stride=stride, padding=3, dtype=dtype)))
         if norm_kind != "none":
             layers.append(("norm1", _make_norm(norm_kind, out_width, dtype)))
         layers.append(("act1", Activation(activation, out_width, dtype=dtype)))
-        layers.append(("pool", MaxPool2d(3, 2, padding=1)))
-    elif kind == "resnet_nopool":
-        layers.append(("conv1", Conv2d(3, out_width, 7, stride=4, padding=3, dtype=dtype)))
-        if norm_kind != "none":
-            layers.append(("norm1", _make_norm(norm_kind, out_width, dtype)))
-        layers.append(("act1", Activation(activation, out_width, dtype=dtype)))
+        if kind == "resnet":
+            layers.append(("pool", MaxPool2d(3, 2, padding=1)))
     elif kind == "swin":
         layers.append(("conv1", Conv2d(3, out_width, 4, stride=4, padding=0, dtype=dtype)))
     elif kind == "swin_k5":

@@ -67,6 +67,19 @@ CENTRAL_CASES = {
 }
 
 
+# A NaN or infinite number at each numeric field, by path; each value is
+# inside the field's bounds as the comparisons read NaN and infinity.
+NON_FINITE_CASES = {
+    "target_accuracy": {"target_accuracy": float("nan")},
+    "optimizer.base_lr": {"optimizer.base_lr": float("inf")},
+    "optimizer.weight_decay": {"optimizer.weight_decay": float("nan")},
+    "fl.method.mu": {"fl.method": {"name": "fedprox", "mu": float("inf")}},
+    "optimizer.agc.clipping": {"optimizer.agc": {"clipping": float("inf")}},
+    "data.partition.tolerance": {"data.partition": {
+        "kind": "label_skew", "target_ks": 0.5, "tolerance": float("nan")}},
+}
+
+
 class TestValidation:
     def test_valid_config_parses(self):
         exp = parse_experiment(base_doc())
@@ -101,6 +114,12 @@ class TestValidation:
         with pytest.raises(ConfigValidationError,
                            match=rf"{path}: expected an object, got None"):
             parse_experiment(base_doc(**{path: None}))
+
+    def test_integer_beyond_float_range_is_a_validation_error(self):
+        # float() raised OverflowError on it, which the CLI printed as a traceback.
+        with pytest.raises(ConfigValidationError,
+                           match=r"optimizer\.base_lr: expected a finite number"):
+            parse_experiment(base_doc(**{"optimizer.base_lr": 10**400}))
 
     def test_method_params_validated(self):
         with pytest.raises(ConfigValidationError, match="fraction"):
@@ -403,6 +422,25 @@ class TestCliFlopsSweepEval:
         cfg.write_bytes(raw)
         code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
         self.assert_one_error_line(capsys, code, named)
+
+    @pytest.mark.parametrize("path", NON_FINITE_CASES)
+    def test_non_finite_number_is_one_error_line(self, tmp_path, capsys, path):
+        # json reads NaN and Infinity, and each passed its field's bounds: a NaN
+        # target never stopped training and wrote a literal NaN into
+        # report.json; an infinite base_lr failed mid-run with exit 1.
+        cfg = write_config(tmp_path, base_doc(**NON_FINITE_CASES[path]))
+        code = main(["train", "--config", cfg, "--out", str(tmp_path / "run")])
+        self.assert_one_error_line(capsys, code, f"{path}: ")
+        assert not (tmp_path / "run").exists()
+
+    def test_duplicated_key_is_one_error_line(self, tmp_path, capsys):
+        # json keeps the last of a repeated key, so this costed a k9 model.
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(base_doc()).replace(
+            '"kernel_size": 3', '"kernel_size": 3, "kernel_size": 9'),
+            encoding="utf-8")
+        code = main(["flops", "--config", str(cfg)])
+        self.assert_one_error_line(capsys, code, "'kernel_size'")
 
     def test_eval_manifest_not_utf8_is_one_error_line(self, tmp_path, capsys):
         # read_text raised UnicodeDecodeError as a traceback.
