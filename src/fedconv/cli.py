@@ -155,8 +155,12 @@ def cmd_sweep(args) -> int:
     for value in args.values:
         doc = copy.deepcopy(exp.raw)
         # A non-decimal kernel size stays a string, which validation rejects.
-        cell = (int(value) if args.axis == "kernel_size" and value.isdecimal()
-                else value)
+        cell = value
+        if args.axis == "kernel_size" and value.isdecimal():
+            try:
+                cell = int(value)
+            except ValueError as e:  # beyond Python's integer digit limit
+                raise ConfigValidationError([f"--values: kernel_size: {e}"]) from None
         if cell in seen:
             raise ConfigValidationError(
                 [f"--values: {args.axis} {cell!r} is given twice"])

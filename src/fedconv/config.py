@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,7 @@ class FLConfig:
     rounds: int
     local_epochs: int
     batch_size: int
-    clients_per_round: int | None = None
+    clients_per_round: int | None
 
 
 @dataclass
@@ -43,9 +43,9 @@ class OptimConfig:
     base_lr: float
     warmup_epochs: int
     total_epochs: int
-    weight_decay: float = 0.0
-    momentum: float = 0.0
-    agc: AGCConfig | None = None
+    weight_decay: float
+    momentum: float
+    agc: AGCConfig | None
 
 
 @dataclass
@@ -53,13 +53,13 @@ class DataConfig:
     source: str
     num_clients: int
     partition_kind: str
-    target_ks: float = 0.0
-    tolerance: float = 0.05
-    path: str | None = None
-    num_classes: int = 10
-    per_class: int = 100
-    test_per_class: int = 25
-    resolution: int = 32
+    target_ks: float | None       # label_skew only
+    tolerance: float | None       # label_skew only
+    path: str | None
+    num_classes: int
+    per_class: int
+    test_per_class: int
+    resolution: int
 
 
 @dataclass
@@ -69,11 +69,11 @@ class ExperimentConfig:
     fl: FLConfig
     optimizer: OptimConfig
     data: DataConfig
-    output_dir: str | None = None
-    target_accuracy: float | None = None
-    save_round_checkpoints: bool = False
-    dtype: np.dtype = np.dtype(np.float32)
-    raw: dict = field(default_factory=dict)
+    output_dir: str | None
+    target_accuracy: float | None
+    save_round_checkpoints: bool
+    dtype: np.dtype
+    raw: dict
 
 
 def _is_int(x) -> bool:
@@ -245,8 +245,9 @@ def _parse_optimizer(d: dict, errors: list[str]) -> OptimConfig | None:
             s.err("agc", "expected null or an object")
         else:
             a = _Section(agc_d, "optimizer.agc.", errors)
-            clipping = a.num_field("clipping", default=0.01, lo_strict=0.0)
-            eps = a.num_field("eps", default=1e-3, lo_strict=0.0)
+            clipping = a.num_field("clipping", default=AGCConfig.clipping,
+                                   lo_strict=0.0)
+            eps = a.num_field("eps", default=AGCConfig.eps, lo_strict=0.0)
             a.finish()
             if not errors:
                 agc = AGCConfig(clipping=clipping, eps=eps)
@@ -269,7 +270,7 @@ def _parse_data(d: dict, errors: list[str]) -> DataConfig | None:
     resolution = s.int_field("resolution", default=None, lo=32)
     s.finish()
 
-    kind, target_ks, tolerance = "iid", 0.0, 0.05
+    kind = target_ks = tolerance = None
     if part_d is not None:
         p = _Section(part_d, "data.partition.", errors)
         kind = p.str_field("kind", required=True, choices=("iid", "label_skew"))
@@ -298,7 +299,7 @@ def _parse_data(d: dict, errors: list[str]) -> DataConfig | None:
     if errors:
         return None
     return DataConfig(source=source, num_clients=num_clients, partition_kind=kind,
-                      target_ks=target_ks or 0.0, tolerance=tolerance or 0.05,
+                      target_ks=target_ks, tolerance=tolerance,
                       path=path, num_classes=num_classes,
                       per_class=per_class or 0, test_per_class=test_per_class or 0,
                       resolution=resolution)
@@ -368,6 +369,10 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigValidationError([f"config file is not UTF-8: {e}"]) from None
     except json.JSONDecodeError as e:
         raise ConfigValidationError([f"config file is not valid JSON: {e}"]) from e
+    except ConfigValidationError:
+        raise
+    except ValueError as e:  # an integer literal beyond Python's digit limit
+        raise ConfigValidationError([f"config file: {e}"]) from None
     except RecursionError:
         raise ConfigValidationError(["config file is nested too deeply"]) from None
     return parse_experiment(doc)

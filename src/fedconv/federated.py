@@ -44,8 +44,7 @@ from .data import (DataError, Dataset, build_shared_pool, load_cifar10_binary,
                    synth_dataset, to_input)
 from .models import Network
 from .optim import AGCConfig, AdamW, LrSchedule, SGD, clip_model_grads, lr_at
-from .reporting import (ExperimentReport, RoundRecord, StopWatch, evaluate,
-                        rounds_to_target, tms)
+from .reporting import ExperimentReport, RoundRecord, StopWatch, evaluate
 
 __all__ = ["FLMethodConfig", "ClientState", "YogiState", "state_views",
            "local_update", "train_epochs", "aggregate_fedavg",
@@ -259,7 +258,7 @@ def run_round(global_model: Network, global_state: dict, yogi, clients, *,
               workers, method: FLMethodConfig, dataset: Dataset,
               test_set: Dataset, round_idx: int, epochs: int, batch_size: int,
               schedule: LrSchedule, agc_cfg: AGCConfig | None,
-              threads: int = 1, all_client_sizes=None) -> RoundRecord:
+              threads: int = 1) -> RoundRecord:
     """Broadcast -> parallel local updates folded into the weighted mean ->
     server step -> evaluate. Returns the round's record; the server step
     writes `global_model` in place, so its `state_views` stay current.
@@ -348,7 +347,6 @@ def run_round(global_model: Network, global_state: dict, yogi, clients, *,
         mean.clear()
         accuracy = evaluate(global_model, test_set.images, test_set.labels)
     return RoundRecord(round=round_idx, accuracy=accuracy, loss=loss_sum / total,
-                       client_sizes=list(all_client_sizes or []),
                        seconds=sw.seconds)
 
 
@@ -385,18 +383,6 @@ def _make_schedule(optim_cfg, method: FLMethodConfig) -> LrSchedule:
     return LrSchedule(base, optim_cfg.warmup_epochs, optim_cfg.total_epochs)
 
 
-def _report(exp, model: Network, records: list[RoundRecord], ks: float) -> ExperimentReport:
-    """The report of a run that trained `model`; `ks` is its partition's mean KS."""
-    params = model.named_parameters().data.size
-    rtt = (rounds_to_target(records, exp.target_accuracy)
-           if exp.target_accuracy is not None else None)
-    return ExperimentReport(
-        config=exp.raw, params=params, partition_mean_ks=ks, records=records,
-        final_accuracy=records[-1].accuracy,
-        target_accuracy=exp.target_accuracy, rounds_to_target=rtt,
-        tms=tms(params, rtt) if rtt is not None else None)
-
-
 def run_federated(exp, threads: int = 1, round_checkpoint=None,
                   capture: dict | None = None) -> ExperimentReport:
     """Execute the configured number of communication rounds (early-stopping
@@ -430,12 +416,11 @@ def run_federated(exp, threads: int = 1, round_checkpoint=None,
         for cid in sorted(partition)]
     workers = [Network(exp.arch, exp.dtype)
                for _ in range(max(1, min(threads, len(clients))))]
-    sizes = [c.n_k for c in clients]
     schedule = _make_schedule(exp.optimizer, method)
 
     with StopWatch() as sw0:
         acc0 = evaluate(global_model, test.images, test.labels)
-    records = [RoundRecord(0, acc0, None, list(sizes), sw0.seconds)]
+    records = [RoundRecord(0, acc0, None, sw0.seconds)]
     if round_checkpoint:
         round_checkpoint(0, global_state)
 
@@ -451,8 +436,7 @@ def run_federated(exp, threads: int = 1, round_checkpoint=None,
             global_model, global_state, yogi, participating, workers=workers,
             method=method, dataset=train, test_set=test, round_idx=r,
             epochs=exp.fl.local_epochs, batch_size=exp.fl.batch_size,
-            schedule=schedule, agc_cfg=exp.optimizer.agc, threads=threads,
-            all_client_sizes=sizes)
+            schedule=schedule, agc_cfg=exp.optimizer.agc, threads=threads)
         records.append(record)
         if round_checkpoint:
             round_checkpoint(r, global_state)
@@ -461,5 +445,8 @@ def run_federated(exp, threads: int = 1, round_checkpoint=None,
 
     if capture is not None:
         capture.update(state=global_state, model=global_model, clients=clients)
-    return _report(exp, global_model, records, ks)
+    return ExperimentReport(
+        config=exp.raw, params=global_model.named_parameters().data.size,
+        partition_mean_ks=ks, client_sizes=[c.n_k for c in clients],
+        records=records, target_accuracy=exp.target_accuracy)
 

@@ -46,15 +46,14 @@ class Conv2d(Layer):
     param_names = ("weight", "bias")
 
     def __init__(self, cin: int, cout: int, k: int, *, stride: int = 1,
-                 padding: int = 0, groups: int = 1, bias: bool = True,
-                 dtype=np.float32):
+                 padding: int = 0, groups: int = 1, dtype=np.float32):
         if cin % groups or cout % groups:
             raise ad.ShapeError("groups must divide both channel counts")
         self.cin, self.cout, self.k = cin, cout, k
         self.stride, self.padding, self.groups = stride, padding, groups
         self.weight = Tensor(np.zeros((cout, cin // groups, k, k), dtype=dtype),
                              requires_grad=True)
-        self.bias = Tensor(np.zeros(cout, dtype=dtype), requires_grad=True) if bias else None
+        self.bias = Tensor(np.zeros(cout, dtype=dtype), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
         return ad.conv2d(x, self.weight, self.bias, stride=self.stride,
@@ -62,8 +61,7 @@ class Conv2d(Layer):
 
     def init_params(self, rng):
         _he_fill(self.weight, rng, (self.cin // self.groups) * self.k * self.k)
-        if self.bias is not None:
-            self.bias.data[...] = 0
+        self.bias.data[...] = 0
 
     def out_hw(self, h, w):
         return ((h + 2 * self.padding - self.k) // self.stride + 1,

@@ -18,7 +18,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ from .data import to_input
 
 __all__ = ["RoundRecord", "ExperimentReport", "evaluate", "rounds_to_target",
            "tms", "save_checkpoint", "load_checkpoint", "CheckpointError",
-           "write_report", "read_rounds_csv", "write_atomic"]
+           "write_report", "write_atomic"]
 
 
 class CheckpointError(ValueError):
@@ -41,26 +41,34 @@ class RoundRecord:
     round: int
     accuracy: float               # percent in [0, 100]
     loss: float | None            # mean train loss; None for the round-0 eval
-    client_sizes: list[int] = field(default_factory=list)
     seconds: float = 0.0
 
 
 @dataclass
 class ExperimentReport:
+    """A run's records plus the facts they lack; the final accuracy, rounds
+    to target and TMS are read off the records."""
     config: dict
     params: int
     partition_mean_ks: float | None
+    client_sizes: list[int]       # sample count per client id, fixed for the run
     records: list[RoundRecord]
-    final_accuracy: float
-    target_accuracy: float | None = None
-    rounds_to_target: int | None = None
-    tms: int | None = None
+    target_accuracy: float | None
 
-    def __post_init__(self):
-        if (self.rounds_to_target is None) != (self.tms is None):
-            raise ValueError("tms must be present exactly when rounds_to_target is")
-        if self.rounds_to_target is not None and self.tms != self.params * self.rounds_to_target:
-            raise ValueError("tms must equal params * rounds_to_target")
+    @property
+    def final_accuracy(self) -> float:
+        return self.records[-1].accuracy
+
+    @property
+    def rounds_to_target(self) -> int | None:
+        if self.target_accuracy is None:
+            return None
+        return rounds_to_target(self.records, self.target_accuracy)
+
+    @property
+    def tms(self) -> int | None:
+        rounds = self.rounds_to_target
+        return None if rounds is None else tms(self.params, rounds)
 
 
 def evaluate(model, images_u8: np.ndarray, labels: np.ndarray, *,
@@ -221,7 +229,7 @@ def write_report(report: ExperimentReport, out_dir) -> tuple[Path, Path]:
         "partition_mean_ks": report.partition_mean_ks,
         "records": [
             {"round": r.round, "accuracy": r.accuracy, "loss": r.loss,
-             "client_sizes": r.client_sizes}
+             "client_sizes": report.client_sizes}
             for r in report.records
         ],
         "final_accuracy": report.final_accuracy,
@@ -233,23 +241,6 @@ def write_report(report: ExperimentReport, out_dir) -> tuple[Path, Path]:
     write_atomic(json_path,
                  (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     return csv_path, json_path
-
-
-def read_rounds_csv(path) -> list[RoundRecord]:
-    """Re-parse rounds.csv; the CSV carries the four printed fields, so the
-    returned records have empty client_sizes."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "round,accuracy,loss,seconds":
-        raise ValueError(f"{path}: unexpected CSV header")
-    out = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        rnd, acc, loss, secs = line.split(",")
-        out.append(RoundRecord(int(rnd), float(acc),
-                               None if loss == "" else float(loss),
-                               [], float(secs)))
-    return out
 
 
 class StopWatch:

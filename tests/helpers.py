@@ -12,16 +12,15 @@ plain epoch loop over one model, without clients, workers or aggregation.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
 from fedconv.autodiff import Tensor
 from fedconv.federated import (_load_data, _make_optimizer, _make_schedule,
-                               _report, train_epochs)
+                               train_epochs)
 from fedconv.models import Network
 from fedconv.optim import ParamArena, clip_model_grads, unitwise_norm
-from fedconv.reporting import RoundRecord, StopWatch, evaluate
+from fedconv.reporting import ExperimentReport, RoundRecord, StopWatch, evaluate
 
 
 def naive_conv2d(x, w, b=None, stride=1, padding=1, groups=1):
@@ -375,7 +374,7 @@ def central_train(exp, round_checkpoint=None, capture=None):
 
     with StopWatch() as sw0:
         acc0 = evaluate(model, test.images, test.labels)
-    records = [RoundRecord(0, acc0, None, [len(train)], sw0.seconds)]
+    records = [RoundRecord(0, acc0, None, sw0.seconds)]
     if round_checkpoint:
         round_checkpoint(0, model.state_dict())
 
@@ -386,7 +385,7 @@ def central_train(exp, round_checkpoint=None, capture=None):
                 batch_size=exp.fl.batch_size, schedule=schedule,
                 agc_cfg=exp.optimizer.agc)
             acc = evaluate(model, test.images, test.labels)
-        records.append(RoundRecord(e, acc, mean_loss, [len(train)], sw.seconds))
+        records.append(RoundRecord(e, acc, mean_loss, sw.seconds))
         if round_checkpoint:
             round_checkpoint(e, model.state_dict())
         if exp.target_accuracy is not None and acc >= exp.target_accuracy:
@@ -394,4 +393,7 @@ def central_train(exp, round_checkpoint=None, capture=None):
 
     if capture is not None:
         capture.update(state=model.state_dict(), model=model, optimizer=optimizer)
-    return replace(_report(exp, model, records, 0.0), partition_mean_ks=None)
+    return ExperimentReport(
+        config=exp.raw, params=model.named_parameters().data.size,
+        partition_mean_ks=None, client_sizes=[len(train)], records=records,
+        target_accuracy=exp.target_accuracy)

@@ -300,12 +300,14 @@ class TestCliFlopsSweepEval:
 
     @pytest.mark.parametrize("values", [["abc"], ["3", "4"], ["3", "abc"],
                                         ["3", "2.5"], ["3", "3"],
-                                        ["3", "5", "3"], ["3", "03"]])
+                                        ["3", "5", "3"], ["3", "03"],
+                                        ["3", "1" + "0" * 5000]])
     def test_sweep_bad_value_is_one_error_line_and_runs_nothing(
             self, tmp_path, capsys, values):
         # A non-integer kernel size died in a ValueError traceback, and an
         # invalid one (even) was rejected only after the earlier cells ran.
         # A repeated one ran its cell twice and wrote its sweep.csv row twice.
+        # A decimal of more digits than int() reads (4,300) was a traceback.
         cfg = write_config(tmp_path, base_doc())
         out = tmp_path / "s"
         code = main(["sweep", "--config", cfg, "--axis", "kernel_size",
@@ -432,6 +434,16 @@ class TestCliFlopsSweepEval:
         code = main(["train", "--config", cfg, "--out", str(tmp_path / "run")])
         self.assert_one_error_line(capsys, code, f"{path}: ")
         assert not (tmp_path / "run").exists()
+
+    def test_integer_beyond_the_digit_limit_is_one_error_line(self, tmp_path,
+                                                               capsys):
+        # json.loads raised Python's integer-string conversion ValueError
+        # ("Exceeds the limit (4300 digits)"), which no clause caught.
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(base_doc()).replace(
+            '"base_lr": 0.001', '"base_lr": 1' + "0" * 5000), encoding="utf-8")
+        code = main(["flops", "--config", str(cfg)])
+        self.assert_one_error_line(capsys, code, "digits")
 
     def test_duplicated_key_is_one_error_line(self, tmp_path, capsys):
         # json keeps the last of a repeated key, so this costed a k9 model.

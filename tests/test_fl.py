@@ -1,5 +1,6 @@
 """Federated orchestration: local updates, aggregation rules, round loop."""
 
+import json
 import math
 import sys
 import threading
@@ -20,6 +21,7 @@ from fedconv.federated import (ClientState, FLMethodConfig, YogiState,
                                train_epochs, yogi_server_step)
 from fedconv.models import Network, count_params
 from fedconv.optim import LrSchedule, ParamArena, SGD, lr_at
+from fedconv.reporting import write_report
 
 from helpers import central_train
 
@@ -437,14 +439,18 @@ class TestRunFederated:
                       threads=threads)
         assert len(built) == min(threads, 3) + 1
 
-    def test_share_method_runs_and_grows_clients(self):
+    def test_share_method_runs_and_grows_clients(self, tmp_path):
         over = {"fl.method": {"name": "share", "fraction": 0.25}, "fl.rounds": 1}
         capture = {}
         report = run_federated(toy_experiment(**over), capture=capture)
         base = 48 // 2
         for client in capture["clients"]:
             assert client.n_k > base
-        assert report.records[-1].client_sizes == [c.n_k for c in capture["clients"]]
+        assert report.client_sizes == [c.n_k for c in capture["clients"]]
+        _, json_path = write_report(report, tmp_path)
+        records = json.loads(json_path.read_text(encoding="utf-8"))["records"]
+        assert len(records) == 2
+        assert all(r["client_sizes"] == report.client_sizes for r in records)
 
     def test_fedyogi_round_runs(self):
         over = {"fl.method": {"name": "fedyogi"}, "fl.rounds": 2,

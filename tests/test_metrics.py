@@ -3,6 +3,7 @@
 import struct
 import tracemalloc
 from collections import OrderedDict
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,9 +17,8 @@ from fedconv.autodiff import Tensor
 from fedconv.data import synth_dataset, to_input
 from fedconv.models import ArchConfig, Network
 from fedconv.reporting import (CheckpointError, ExperimentReport, RoundRecord,
-                               evaluate, load_checkpoint, read_rounds_csv,
-                               rounds_to_target, save_checkpoint, tms,
-                               write_report)
+                               evaluate, load_checkpoint, rounds_to_target,
+                               save_checkpoint, tms, write_report)
 
 
 class FixedLogitsModel:
@@ -250,35 +250,47 @@ def make_report(**over):
         config={"seed": 3, "note": "toy"},
         params=1000,
         partition_mean_ks=0.25,
-        records=[RoundRecord(0, 25.0, None, [8, 8], 0.01),
-                 RoundRecord(1, 75.0, 1.25, [8, 8], 0.5),
-                 RoundRecord(2, 92.5, 0.7, [8, 8], 0.48)],
-        final_accuracy=92.5,
+        client_sizes=[8, 8],
+        records=[RoundRecord(0, 25.0, None, 0.01),
+                 RoundRecord(1, 75.0, 1.25, 0.5),
+                 RoundRecord(2, 92.5, 0.7, 0.48)],
         target_accuracy=90.0,
-        rounds_to_target=2,
-        tms=2000,
     )
     base.update(over)
     return ExperimentReport(**base)
 
 
 class TestReportFiles:
-    def test_tms_invariant_enforced(self):
-        with pytest.raises(ValueError, match="tms"):
-            make_report(tms=1234)
-        with pytest.raises(ValueError, match="tms"):
-            make_report(tms=None)
+    def test_derived_fields_are_read_off_the_records(self):
+        # target -> (rounds_to_target, tms) for records at 25, 75, 92.5 and
+        # 80%: no target; first crossings at rounds 2 and 1 (75 meets 75);
+        # a target never reached.
+        cases = {None: (None, None), 90.0: (2, 2000), 75.0: (1, 1000),
+                 95.0: (None, None)}
+        for target, want in cases.items():
+            report = make_report(target_accuracy=target)
+            report.records.append(RoundRecord(3, 80.0, 0.9, 0.5))
+            # `central` reports through this replace.
+            for r in (report, replace(report, partition_mean_ks=None)):
+                assert r.final_accuracy == 80.0
+                assert (r.rounds_to_target, r.tms) == want, target
 
-    def test_csv_reparse_reproduces_records(self, tmp_path):
-        report = make_report()
-        csv_path, _ = write_report(report, tmp_path)
-        parsed = read_rounds_csv(csv_path)
-        assert len(parsed) == len(report.records)
-        for got, want in zip(parsed, report.records):
-            assert got.round == want.round
-            assert got.accuracy == want.accuracy
-            assert got.loss == want.loss
-            assert got.seconds == want.seconds
+    def test_rounds_csv_text(self, tmp_path):
+        records = [RoundRecord(0, 100 / 3, None, 1e-7),
+                   RoundRecord(1, 200 / 3, 0.1 + 0.2, 0.48),
+                   RoundRecord(2, 92.5, 2.0 ** -40, 12345.678)]
+        csv_path, _ = write_report(make_report(records=records), tmp_path)
+        header, *rows = csv_path.read_text(encoding="utf-8").splitlines()
+        assert header == "round,accuracy,loss,seconds"
+        assert len(rows) == len(records)
+        for row, rec in zip(rows, records):
+            rnd, acc, loss, secs = row.split(",")
+            assert int(rnd) == rec.round
+            assert (loss == "") == (rec.loss is None)
+            for text, value in ((acc, rec.accuracy), (loss, rec.loss),
+                                (secs, rec.seconds)):
+                if value is not None:
+                    assert struct.pack("<d", float(text)) == struct.pack("<d", value)
 
     def test_json_is_deterministic_and_excludes_timing(self, tmp_path):
         report = make_report()
@@ -297,12 +309,6 @@ class TestReportFiles:
         assert doc["rounds_to_target"] == 2
         assert [r["accuracy"] for r in doc["records"]] == [25.0, 75.0, 92.5]
         assert doc["records"][0]["loss"] is None
-
-    def test_header_mismatch_rejected(self, tmp_path):
-        p = tmp_path / "rounds.csv"
-        p.write_text("wrong,header\n")
-        with pytest.raises(ValueError, match="header"):
-            read_rounds_csv(p)
 
 
 def _disk_full_open(path, mode):
@@ -347,6 +353,6 @@ class TestAtomicWrites:
         before = self.snapshot(tmp_path)
         monkeypatch.setattr(reporting, "open", _disk_full_open, raising=False)
         with pytest.raises(OSError):
-            write_report(make_report(params=2000, tms=4000), tmp_path)
+            write_report(make_report(params=2000), tmp_path)
         assert self.snapshot(tmp_path) == before
         assert sorted(before) == ["report.json", "rounds.csv"]
