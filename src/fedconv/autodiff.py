@@ -89,11 +89,13 @@ class no_grad:
 
 
 def _finite_or_raise(data: np.ndarray, op: str) -> None:
-    # NaN and +/-Inf both poison a sum, so one reduction clears the common
-    # case. Finite values can still overflow the sum, so a non-finite sum is
-    # confirmed elementwise before raising.
+    # NaN and +/-Inf both poison the values' dot product with themselves,
+    # which BLAS takes in one read of the memory-order flat array. Finite
+    # values can still overflow it, so a non-finite dot is confirmed
+    # elementwise before raising.
+    flat = data.ravel(order="K")
     with np.errstate(over="ignore"):
-        total = np.sum(data)
+        total = np.dot(flat, flat)
     if not np.isfinite(total) and not np.isfinite(data).all():
         raise NumericsError(f"non-finite values produced by node '{op}'")
 

@@ -3,11 +3,13 @@
 Simulation is in-process: a round broadcasts the global state, runs every
 participating client's local update (on the calling thread and, with
 `threads` > 1, helper threads), and evaluates the global model on a
-held-out test set. Every method shares one aggregation core, FedAvg's
-sample-weighted mean. A round's `fold` adds each finished client to it,
-straight from its worker's arena, and adds the client's loss to the round's
-loss sum, as soon as every client with a lower id is in them; one that
-finishes early is copied and held until its turn. Both sums are therefore
+held-out test set. A run starts helper threads only when its local step is
+large enough for them to pay (`worker_count`). Every method shares one
+aggregation core, FedAvg's sample-weighted mean. A round's `fold` adds
+each finished client to it, straight from its worker's arena, and adds the
+client's loss to the round's loss sum, as soon as every client with a
+lower id is in them; one that finishes early is copied and held until its
+turn. Both sums are therefore
 taken in ascending client-id order whatever the thread timing. The server
 step (the mean itself, fedbn's kept batch-norm entries or Yogi's adaptive
 step) then writes the global model in place, and the global state is views
@@ -15,7 +17,7 @@ of that model's own arena and buffers, so the global weights exist once.
 
 A client is state, not a model: its optimizer (whose step count `t` is the
 client's clock on the lr schedule), data-order rng and, under fedbn, its own
-batch-norm entries. A run keeps min(threads, clients) worker models; each
+batch-norm entries. A run keeps one worker model per training thread; each
 local update loads the broadcast state and the client's local entries into a
 free worker, so every parameter and buffer is overwritten before training
 and the worker a client lands on cannot change results. The optimizer holds
@@ -49,9 +51,15 @@ from .reporting import ExperimentReport, RoundRecord, StopWatch, evaluate
 __all__ = ["FLMethodConfig", "ClientState", "YogiState", "state_views",
            "local_update", "train_epochs", "aggregate_fedavg",
            "aggregate_fedbn", "yogi_server_step", "run_round",
-           "run_federated"]
+           "worker_count", "run_federated"]
 
 FL_METHODS = ("fedavg", "fedprox", "share", "fedyogi", "fedbn")
+
+# Multiply-accumulates of one local step from which helper threads train
+# clients. Below it the numpy calls of a step are so small that threads
+# lose more passing the GIL back and forth than they overlap; the ROADMAP
+# builder note on helper threads holds the sweep this value comes from.
+HELPERS_FROM_STEP_MACS = 13_000_000
 
 
 @dataclass(frozen=True)
@@ -350,6 +358,18 @@ def run_round(global_model: Network, global_state: dict, yogi, clients, *,
                        seconds=sw.seconds)
 
 
+def worker_count(threads: int, sample_macs: int, batch_size: int,
+                 client_sizes) -> int:
+    """How many threads train a run's clients. A local step costs
+    `sample_macs` per sample over a batch no larger than the largest client;
+    below HELPERS_FROM_STEP_MACS the calling thread trains every client,
+    otherwise min(threads, clients) threads do."""
+    step_macs = sample_macs * min(batch_size, max(client_sizes))
+    if step_macs < HELPERS_FROM_STEP_MACS:
+        return 1
+    return max(1, min(threads, len(client_sizes)))
+
+
 def _load_data(exp) -> tuple[Dataset, Dataset]:
     d = exp.data
     if d.source == "synthetic":
@@ -385,8 +405,10 @@ def _make_schedule(optim_cfg, method: FLMethodConfig) -> LrSchedule:
 
 def run_federated(exp, threads: int = 1, round_checkpoint=None,
                   capture: dict | None = None) -> ExperimentReport:
-    """Execute the configured number of communication rounds (early-stopping
-    at the target accuracy when one is set) and return the full report.
+    """Execute the configured number of communication rounds (stopping once
+    an evaluation, round 0's included, meets the target accuracy when one is
+    set) and return the full report. `threads` is an upper bound on the
+    threads that train clients (`worker_count`).
     `round_checkpoint(round_idx, state)` is invoked after every evaluation
     with `state_views` of the global model (copy them to keep a round's
     state); `capture`, when given, receives the final state, model, and
@@ -414,8 +436,9 @@ def run_federated(exp, threads: int = 1, round_checkpoint=None,
                     np.random.default_rng([exp.seed, 101, cid]),
                     {n: v.copy() for n, v in global_state.items() if n in bn})
         for cid in sorted(partition)]
-    workers = [Network(exp.arch, exp.dtype)
-               for _ in range(max(1, min(threads, len(clients))))]
+    threads = worker_count(threads, global_model.macs(), exp.fl.batch_size,
+                           [c.n_k for c in clients])
+    workers = [Network(exp.arch, exp.dtype) for _ in range(threads)]
     schedule = _make_schedule(exp.optimizer, method)
 
     with StopWatch() as sw0:
@@ -425,6 +448,9 @@ def run_federated(exp, threads: int = 1, round_checkpoint=None,
         round_checkpoint(0, global_state)
 
     for r in range(1, exp.fl.rounds + 1):
+        if (exp.target_accuracy is not None
+                and records[-1].accuracy >= exp.target_accuracy):
+            break
         if exp.fl.clients_per_round is not None and exp.fl.clients_per_round < len(clients):
             rng = np.random.default_rng([exp.seed, 61, r])
             chosen = np.sort(rng.choice(len(clients), size=exp.fl.clients_per_round,
@@ -440,8 +466,6 @@ def run_federated(exp, threads: int = 1, round_checkpoint=None,
         records.append(record)
         if round_checkpoint:
             round_checkpoint(r, global_state)
-        if exp.target_accuracy is not None and record.accuracy >= exp.target_accuracy:
-            break
 
     if capture is not None:
         capture.update(state=global_state, model=global_model, clients=clients)

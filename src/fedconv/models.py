@@ -263,6 +263,16 @@ class Network:
     def iter_layers(self):
         return iter(self._leaves)
 
+    def macs(self) -> int:
+        """Multiply-accumulates of the conv and linear layers for one sample
+        at the configured input resolution."""
+        h = w = self.cfg.input_resolution
+        total = 0
+        for _, layer in self._leaves:
+            total += layer.macs(h, w)
+            h, w = layer.out_hw(h, w)
+        return int(total)
+
     def named_parameters(self) -> ParamArena:
         return self._params
 
@@ -317,13 +327,7 @@ def count_params(cfg: ArchConfig) -> int:
 def count_flops(cfg: ArchConfig) -> int:
     """Multiply-accumulates (1 MAC = 1 FLOP) of conv and linear layers for a
     single sample at the configured input resolution."""
-    net = Network(cfg)
-    h = w = cfg.input_resolution
-    total = 0
-    for _, layer in net.iter_layers():
-        total += layer.macs(h, w)
-        h, w = layer.out_hw(h, w)
-    return int(total)
+    return Network(cfg).macs()
 
 
 def calibrate_depths(cfg: ArchConfig, target_flops: int,

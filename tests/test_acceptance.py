@@ -371,6 +371,7 @@ def test_c12_heterogeneity_trend():
     ok(12, "heterogeneity trend")
 
 
+@pytest.mark.usefixtures("helper_threads")
 def test_c13_determinism_across_threads(tmp_path):
     """Identical config/seed with different --threads: byte-identical
     report.json."""

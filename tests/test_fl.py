@@ -24,6 +24,7 @@ from fedconv.optim import LrSchedule, ParamArena, SGD, lr_at
 from fedconv.reporting import write_report
 
 from helpers import central_train
+from test_config_cli import base_doc
 
 
 class ToyModel:
@@ -404,6 +405,7 @@ class TestRunFederated:
                     for n in bn_names if n.endswith("running_mean"))
         assert moved
 
+    @pytest.mark.usefixtures("helper_threads")
     def test_worker_count_does_not_change_results(self):
         # fedbn + BN keeps client-local entries; sampling 3 of 4 clients per
         # round puts clients on different workers from round to round.
@@ -426,8 +428,13 @@ class TestRunFederated:
             for name in a.local:
                 assert a.local[name].tobytes() == b.local[name].tobytes(), (a.id, name)
 
-    @pytest.mark.parametrize("threads", [1, 2, 5])
-    def test_builds_one_network_per_worker_plus_global(self, threads, monkeypatch):
+    @pytest.mark.parametrize("threads, helpers",
+                             [(1, True), (2, True), (5, True), (2, False)],
+                             ids=["1", "2", "5", "2-small_step"])
+    def test_builds_one_network_per_worker_plus_global(self, threads, helpers,
+                                                       monkeypatch, request):
+        if helpers:
+            request.getfixturevalue("helper_threads")
         built = []
 
         def counting_network(*args, **kwargs):
@@ -437,7 +444,8 @@ class TestRunFederated:
         monkeypatch.setattr(fed, "Network", counting_network)
         run_federated(toy_experiment(**{"data.num_clients": 3, "fl.rounds": 1}),
                       threads=threads)
-        assert len(built) == min(threads, 3) + 1
+        # Below the MACs bound one worker trains every client.
+        assert len(built) == (min(threads, 3) if helpers else 1) + 1
 
     def test_share_method_runs_and_grows_clients(self, tmp_path):
         over = {"fl.method": {"name": "share", "fraction": 0.25}, "fl.rounds": 1}
@@ -482,6 +490,7 @@ class TestRunFederated:
             assert client.optimizer.t == taken[client.id] * math.ceil(
                 client.n_k / exp.fl.batch_size) == taken[client.id] * 2
 
+    @pytest.mark.usefixtures("helper_threads")
     def test_threads_do_not_change_results(self):
         exp1 = toy_experiment(**{"data.num_clients": 4, "fl.rounds": 2})
         exp2 = toy_experiment(**{"data.num_clients": 4, "fl.rounds": 2})
@@ -489,6 +498,7 @@ class TestRunFederated:
         _, b = collect_states(exp2, threads=4)
         assert_states_equal(a, b, bitwise=True)
 
+    @pytest.mark.usefixtures("helper_threads")
     def test_fold_under_thread_stress(self):
         # More threads than cores and a short switch interval scramble the
         # order clients finish in, so the fold's held copies and hand-offs
@@ -505,6 +515,7 @@ class TestRunFederated:
         assert ([r.loss for r in got_report.records]
                 == [r.loss for r in want_report.records])
 
+    @pytest.mark.usefixtures("helper_threads")
     def test_calling_thread_trains_too(self, monkeypatch):
         # `threads` counts the caller: two threads in all, the caller one.
         idents = []
@@ -521,6 +532,39 @@ class TestRunFederated:
         assert threading.get_ident() in idents
         assert len(set(idents)) <= 2
 
+    def test_small_step_trains_on_calling_thread(self, monkeypatch):
+        # The toy model's local step is far below HELPERS_FROM_STEP_MACS, so
+        # `threads=2` starts no helper: every client trains on the caller.
+        exp = toy_experiment(**{"data.num_clients": 4, "fl.rounds": 2})
+        assert (Network(exp.arch).macs() * exp.fl.batch_size
+                < fed.HELPERS_FROM_STEP_MACS)
+        idents = []
+        real = fed.local_update
+
+        def recording(*args, **kwargs):
+            idents.append(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fed, "local_update", recording)
+        run_federated(exp, threads=2)
+        assert idents == [threading.get_ident()] * 8
+
+    def test_worker_count_rule(self):
+        bound = fed.HELPERS_FROM_STEP_MACS
+        at = -(-bound // 16)            # 16 samples reach the bound
+        below = bound // 16 - 1         # 16 samples fall short of it
+        sizes = [40, 40, 40]
+        assert fed.worker_count(2, at, 16, sizes) == 2
+        assert fed.worker_count(5, at, 16, sizes) == 3
+        assert fed.worker_count(1, at, 16, sizes) == 1
+        assert fed.worker_count(4, below, 16, sizes) == 1
+        # A batch is no larger than the largest client: 8 samples of a
+        # 16-sample batch fall below the bound, 16 of a 32-sample batch not.
+        assert fed.worker_count(4, at, 16, [8, 4, 8]) == 1
+        assert fed.worker_count(4, at, 32, [16, 4, 8]) == 3
+        assert fed.worker_count(4, at, 32, [8, 4, 8]) == 1
+
+    @pytest.mark.usefixtures("helper_threads")
     @pytest.mark.parametrize("on_caller", [True, False], ids=["caller", "helper"])
     def test_client_error_stops_every_thread(self, on_caller, monkeypatch):
         # Each thread's first update waits until both threads hold a client;
@@ -557,6 +601,7 @@ class TestRunFederated:
 
     # Client 0 finishes only after every other client of its round, so each
     # of them is held as a copy until client 0 is added to the mean.
+    @pytest.mark.usefixtures("helper_threads")
     @pytest.mark.parametrize("threads", [2, 3])
     @pytest.mark.parametrize("over", [
         {"fl.method": {"name": "fedavg"}},
@@ -634,6 +679,16 @@ class TestRunFederated:
         assert len(report.records) == 1 or report.records[-1].accuracy >= 1.0
         assert report.rounds_to_target is not None
         assert report.tms == report.params * report.rounds_to_target
+
+    def test_round_zero_at_target_trains_no_round(self):
+        # Round 0 reads 43.75% and every trained round 37.5%: a run that
+        # trained past a met target would end below it.
+        doc = base_doc(**{"target_accuracy": 40, "fl.rounds": 6,
+                          "optimizer.base_lr": 0.003, "data.num_clients": 3})
+        report = run_federated(parse_experiment(doc))
+        assert [r.round for r in report.records] == [0]
+        assert report.final_accuracy == 43.75
+        assert report.rounds_to_target == 0 and report.tms == 0
 
 
 class WideToyModel(ToyModel):

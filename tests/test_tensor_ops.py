@@ -406,6 +406,27 @@ class TestGraph:
         with pytest.raises(ad.NumericsError, match="relu"):
             ad.relu(t(data, dtype=np.float32))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_each_non_finite_value_raises_with_op_name(self, bad):
+        data = np.ones((2, 3, 8, 8), dtype=np.float32)
+        data[1, 2, 3, 4] = bad
+        with pytest.raises(ad.NumericsError, match="'add'"):
+            ad.add(t(data, dtype=np.float32), t(np.zeros_like(data), dtype=np.float32))
+
+    def test_finite_values_with_overflowing_squares_pass(self):
+        # 1e20 is finite in float32, its square (1e40) is not.
+        x = t(np.full((4, 1000), 1e20), dtype=np.float32)
+        out = ad.add(x, t(np.zeros((4, 1000)), dtype=np.float32))
+        np.testing.assert_array_equal(out.data, x.data)
+
+    def test_non_finite_value_in_strided_view_raises(self):
+        data = np.arange(48, dtype=np.float32).reshape(2, 4, 6)
+        strided = data[:, :, ::2]
+        ad._finite_or_raise(strided, "strided")
+        data[1, 3, 4] = np.nan
+        with pytest.raises(ad.NumericsError, match="strided"):
+            ad._finite_or_raise(strided, "strided")
+
     def test_backward_frees_graph_without_gc(self):
         rng = np.random.default_rng(5)
         x = t(rng.standard_normal((2, 3, 6, 6)))
