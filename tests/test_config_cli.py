@@ -1,6 +1,7 @@
 """Config validation and the command-line surface."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -236,6 +237,32 @@ class TestCliTrain:
         saved = sorted(p.name for p in got.glob("round_*"))
         assert saved == sorted(p.name for p in want.glob("round_*"))
         assert same_files(got, want, saved)
+
+    # SGD at lr 1e6 overflows after the first step. With one step per client
+    # the round-1 evaluation meets the non-finite weights first; with four,
+    # a client's second step does.
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("batch,where", [(16, "evaluation"),
+                                             (4, r"client \d+")],
+                             ids=["evaluation", "client"])
+    def test_diverging_run_is_one_error_line_naming_round_and_layer(
+            self, tmp_path, capsys, recwarn, request, threads, batch, where):
+        # numpy's overflow RuntimeWarning and its source line came before the
+        # error line, which named only the op.
+        if threads == "2":
+            request.getfixturevalue("helper_threads")
+        cfg = write_config(tmp_path, base_doc(**{
+            "optimizer.kind": "sgd", "optimizer.momentum": 0,
+            "optimizer.base_lr": 1e6, "fl.rounds": 3, "fl.batch_size": batch}))
+        code = main(["train", "--config", cfg, "--threads", threads,
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        assert re.fullmatch(
+            rf"error: round \d+, {where}: layer (stem|stages|pool|final_norm|head)"
+            r"[.\w]*: non-finite values produced by node '\w+'", lines[0]), lines
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 class TestCliPartition:
