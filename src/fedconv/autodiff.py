@@ -60,7 +60,16 @@ ACTIVATION_KINDS = ("relu", "lrelu", "prelu", "softplus", "gelu", "silu", "elu")
 
 
 class NumericsError(RuntimeError):
-    """A forward pass produced NaN or Inf."""
+    """A forward pass produced NaN or Inf. `layer` is the path of the layer
+    where the values surfaced, which the model adds on the way out."""
+
+    def __init__(self, msg: str, layer: str = ""):
+        super().__init__(f"layer {layer}: {msg}" if layer else msg)
+        self.msg, self.layer = msg, layer
+
+    def inside(self, name: str) -> "NumericsError":
+        """This error as raised inside the layer or block `name`."""
+        return NumericsError(self.msg, f"{name}.{self.layer}" if self.layer else name)
 
 
 class ShapeError(ValueError):

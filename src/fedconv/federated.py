@@ -61,6 +61,11 @@ FL_METHODS = ("fedavg", "fedprox", "share", "fedyogi", "fedbn")
 # builder note on helper threads holds the sweep this value comes from.
 HELPERS_FROM_STEP_MACS = 13_000_000
 
+# numpy's floating-point error state while a run trains or evaluates: the
+# per-op finite check reports a non-finite value, so overflow warnings would
+# only repeat it. The state is per thread, so each thread enters it.
+_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
+
 
 @dataclass(frozen=True)
 class FLMethodConfig:
@@ -316,19 +321,22 @@ def run_round(global_model: Network, global_state: dict, yogi, clients, *,
         while item is not None:
             rank, client = item
             try:
-                state, loss = local_update(
-                    client, model, global_state, method=method,
-                    dataset=dataset, epochs=epochs, batch_size=batch_size,
-                    schedule=schedule, agc_cfg=agc_cfg)
-                fold(rank, client, state, loss)
+                with np.errstate(**_QUIET):
+                    state, loss = local_update(
+                        client, model, global_state, method=method,
+                        dataset=dataset, epochs=epochs, batch_size=batch_size,
+                        schedule=schedule, agc_cfg=agc_cfg)
+                    fold(rank, client, state, loss)
             except BaseException as exc:  # raised below once all threads stop
+                if isinstance(exc, NumericsError):
+                    exc = NumericsError(f"round {round_idx}, client {client.id}: {exc}")
                 with lock:
                     errors.append(exc)
                 return
             with lock:
                 item = None if errors else next(pending, None)
 
-    with StopWatch() as sw:
+    with StopWatch() as sw, np.errstate(**_QUIET):
         # Clients go out in id order and the caller takes the first, so the
         # running sum is allocated by the calling thread, not a helper.
         firsts = [next(pending) for _ in range(max(1, min(threads, len(clients))))]
@@ -346,14 +354,20 @@ def run_round(global_model: Network, global_state: dict, yogi, clients, *,
             new_state = aggregate_fedbn(mean, global_state,
                                         global_model.bn_param_names())
         elif method.name == "fedyogi":
-            new_state = yogi_server_step(yogi, global_state, mean, method)
+            try:
+                new_state = yogi_server_step(yogi, global_state, mean, method)
+            except NumericsError as e:
+                raise NumericsError(f"round {round_idx}: {e}") from None
         else:
             new_state = mean
         global_model.load_state_dict(new_state)
         # Evaluation reuses the memory of the mean and the server step.
         del new_state
         mean.clear()
-        accuracy = evaluate(global_model, test_set.images, test_set.labels)
+        try:
+            accuracy = evaluate(global_model, test_set.images, test_set.labels)
+        except NumericsError as e:
+            raise NumericsError(f"round {round_idx}, evaluation: {e}") from None
     return RoundRecord(round=round_idx, accuracy=accuracy, loss=loss_sum / total,
                        seconds=sw.seconds)
 
@@ -441,8 +455,11 @@ def run_federated(exp, threads: int = 1, round_checkpoint=None,
     workers = [Network(exp.arch, exp.dtype) for _ in range(threads)]
     schedule = _make_schedule(exp.optimizer, method)
 
-    with StopWatch() as sw0:
-        acc0 = evaluate(global_model, test.images, test.labels)
+    with StopWatch() as sw0, np.errstate(**_QUIET):
+        try:
+            acc0 = evaluate(global_model, test.images, test.labels)
+        except NumericsError as e:
+            raise NumericsError(f"round 0, evaluation: {e}") from None
     records = [RoundRecord(0, acc0, None, sw0.seconds)]
     if round_checkpoint:
         round_checkpoint(0, global_state)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import NumericsError, Tensor
 from .layers import (Activation, BatchNorm2d, Conv2d, GlobalAvgPool, Layer,
                      LayerNormC, Linear, MaxPool2d)
 from .optim import ParamArena
@@ -147,8 +147,11 @@ class Block:
 
     def forward(self, x: Tensor) -> Tensor:
         h = x
-        for _, layer in self.layers:
-            h = layer.forward(h)
+        for name, layer in self.layers:
+            try:
+                h = layer.forward(h)
+            except NumericsError as e:
+                raise e.inside(name) from None
         return ad.add(x, h)
 
 
@@ -210,7 +213,10 @@ class Network:
         self.pool = GlobalAvgPool()
         self.final_norm = LayerNormC(c[3], dtype=dtype) if cfg.norm_kind != "none" else None
         self.head = Linear(c[3], cfg.num_classes, dtype=dtype)
-        self._leaves = self._collect_leaves()
+        self._order = self._forward_order()
+        self._leaves = [leaf for path, m in self._order
+                        for leaf in ([(f"{path}.{n}", l) for n, l in m.layers]
+                                     if isinstance(m, Block) else [(path, m)])]
         self._params = ParamArena(
             (f"{lname}.{pname}", t)
             for lname, layer in self._leaves
@@ -220,33 +226,28 @@ class Network:
             for lname, layer in self._leaves
             for bname, buf in layer.named_buffers())
 
-    def _collect_leaves(self) -> list[tuple[str, Layer]]:
-        leaves = [(f"stem.{n}", l) for n, l in self.stem]
+    def _forward_order(self) -> list[tuple[str, "Layer | Block"]]:
+        """Top-level layers and blocks in forward order, each with its path."""
+        order = [(f"stem.{n}", l) for n, l in self.stem]
         for i, (down, blocks) in enumerate(self.stages):
-            leaves.extend((f"stages.{i}.down.{n}", l) for n, l in down)
-            for j, block in enumerate(blocks):
-                leaves.extend((f"stages.{i}.blocks.{j}.{n}", l) for n, l in block.layers)
-        leaves.append(("pool", self.pool))
+            order += [(f"stages.{i}.down.{n}", l) for n, l in down]
+            order += [(f"stages.{i}.blocks.{j}", b) for j, b in enumerate(blocks)]
+        order.append(("pool", self.pool))
         if self.final_norm is not None:
-            leaves.append(("final_norm", self.final_norm))
-        leaves.append(("head", self.head))
-        return leaves
+            order.append(("final_norm", self.final_norm))
+        order.append(("head", self.head))
+        return order
 
     # -- execution ---------------------------------------------------------
 
     def forward(self, x: Tensor) -> Tensor:
         h = x
-        for _, layer in self.stem:
-            h = layer.forward(h)
-        for down, blocks in self.stages:
-            for _, layer in down:
-                h = layer.forward(h)
-            for block in blocks:
-                h = block.forward(h)
-        h = self.pool.forward(h)
-        if self.final_norm is not None:
-            h = self.final_norm.forward(h)
-        return self.head.forward(h)
+        for path, module in self._order:
+            try:
+                h = module.forward(h)
+            except NumericsError as e:
+                raise e.inside(path) from None
+        return h
 
     def train(self) -> "Network":
         for _, layer in self._leaves:

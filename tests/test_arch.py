@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fedconv.autodiff import Tensor, no_grad
+from fedconv.autodiff import NumericsError, Tensor, no_grad
 from fedconv.layers import Activation, BatchNorm2d, Conv2d, LayerNormC, Linear, MaxPool2d
 from fedconv.models import (ArchConfig, Block, ConfigError, Network,
                             build_stem, calibrate_depths, count_flops,
@@ -229,6 +229,23 @@ class TestNetwork:
             toy_config(depths=(0, 1, 1, 1)).validate()
         with pytest.raises(ConfigError):
             toy_config(block="normal", channels=(6, 12, 24, 48)).validate()
+
+    @pytest.mark.parametrize("param,path,op", [
+        ("stem.conv1.weight", "stem.conv1", "conv2d"),
+        ("stages.2.down.conv.bias", "stages.2.down.conv", "conv2d"),
+        ("stages.2.blocks.1.conv3.weight", "stages.2.blocks.1.conv3", "conv2d"),
+        ("stages.2.blocks.1.act2.alpha", "stages.2.blocks.1.act2", "prelu"),
+        ("head.weight", "head", "linear")])
+    def test_numerics_error_names_the_layer(self, param, path, op):
+        # The error named only the op, not the layer it surfaced in.
+        net = Network(toy_config(activation="prelu"))
+        net.init_params(np.random.default_rng(0))
+        net.named_parameters()[param].data[...] = np.nan
+        x = np.random.default_rng(1).standard_normal((2, 3, 32, 32)).astype(np.float32)
+        with pytest.raises(NumericsError) as exc, no_grad():
+            net.forward(Tensor(x))
+        assert str(exc.value) == (
+            f"layer {path}: non-finite values produced by node '{op}'")
 
 
 class TestCostAccounting:

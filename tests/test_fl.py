@@ -549,6 +549,19 @@ class TestRunFederated:
         run_federated(exp, threads=2)
         assert idents == [threading.get_ident()] * 8
 
+    def test_yogi_error_names_the_round(self, monkeypatch):
+        # The server step's error did not say which round it failed in.
+        class NaNMoments(YogiState):
+            def __init__(self, *args):
+                super().__init__(*args)
+                for v in self.v.values():
+                    v.fill(np.nan)
+
+        monkeypatch.setattr(fed, "YogiState", NaNMoments)
+        with pytest.raises(NumericsError) as exc:
+            run_federated(toy_experiment(**{"fl.method": {"name": "fedyogi"}}))
+        assert str(exc.value) == "round 1: Yogi second moment left the positive domain"
+
     def test_worker_count_rule(self):
         bound = fed.HELPERS_FROM_STEP_MACS
         at = -(-bound // 16)            # 16 samples reach the bound
