@@ -1,29 +1,31 @@
 """Command-line runner binding config files to experiments.
 
-Subcommands: train, central, partition, flops, sweep, eval. `central` has no
-training loop of its own: it is a one-client fedavg run of `run_federated`,
-built from the user's config by `_central`. Every error path prints a single
-machine-parseable line prefixed `error:` and exits nonzero.
+Subcommands: train, central, partition, flops, sweep, eval. Every training
+run goes through `_run`: `train` runs the user's config, `central` the
+one-client fedavg config `_central` builds from it, and `sweep` each cell of
+a grid, the base config merged with one entry per axis. Every error path
+prints a single machine-parseable line prefixed `error:` and exits nonzero.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .autodiff import NumericsError
-from .config import ConfigValidationError, load_config, parse_experiment
+from .config import (ConfigValidationError, grid_cells, load_config, load_grid,
+                     parse_experiment, parse_grid, read_json)
 from .data import DataError, label_histograms
 from .federated import (FLMethodConfig, _build_partition, _load_data,
                         _make_schedule, run_federated)
-from .models import ConfigError, Network, calibrate_depths, count_flops, count_params
-from .reporting import (CheckpointError, evaluate, load_checkpoint,
-                        save_checkpoint, write_atomic, write_report)
+from .models import (ArchConfig, ConfigError, Network, calibrate_depths,
+                     count_flops, count_params)
+from .reporting import (CheckpointError, ablation_tables, evaluate, load_checkpoint,
+                        save_checkpoint, sweep_csv, write_atomic, write_report)
 
 _USAGE_ERRORS = (ConfigValidationError, ConfigError, DataError, CheckpointError)
 
@@ -88,23 +90,26 @@ def _central(exp):
     return replace(exp, fl=fl, optimizer=optimizer, data=data)
 
 
-def cmd_train(args) -> int:
-    """`train` runs the federated rounds; `central` runs the same loop on
-    `_central`'s one-client config. Its report echoes the user's config, with
-    no partition KS, and each of its rounds is one epoch over the pooled
-    training set."""
-    exp = _load(args)
-    out_dir = _out_dir(exp, args)
+def _run(exp, out_dir: Path, threads: int, central: bool = False):
+    """Train `exp`, or with `central` its `_central` config, and write the
+    run's checkpoints and report into `out_dir`. A central report echoes the
+    user's config, with no partition KS. report.json is written last, so a
+    directory that holds it holds a finished run."""
     out_dir.mkdir(parents=True, exist_ok=True)
     capture: dict = {}
     hook = _round_writer(out_dir) if exp.save_round_checkpoints else None
-    central = args.command == "central"
-    report = run_federated(_central(exp) if central else exp, threads=args.threads,
+    report = run_federated(_central(exp) if central else exp, threads=threads,
                            round_checkpoint=hook, capture=capture)
     if central:
         report = replace(report, partition_mean_ks=None)
-    write_report(report, out_dir)
     _final_checkpoint(out_dir, capture)
+    write_report(report, out_dir)
+    return report
+
+
+def cmd_train(args) -> int:
+    exp = _load(args)
+    report = _run(exp, _out_dir(exp, args), args.threads, args.command == "central")
     print(f"final_accuracy {report.final_accuracy:.4f}")
     if report.rounds_to_target is not None:
         print(f"rounds_to_target {report.rounds_to_target}")
@@ -144,45 +149,65 @@ def cmd_flops(args) -> int:
     return 0
 
 
-_SWEEP_AXES = ("kernel_size", "activation", "stem", "act_placement", "norm_placement")
+def _grid(args) -> tuple[dict, list]:
+    """The sweep's axes and claims: the `--grid` file, or `--axis A --values
+    v...` as the one-axis grid whose entry v sets arch.A to v read as JSON,
+    or to the string v when it is not JSON."""
+    if args.grid is not None:
+        if args.axis is not None or args.values is not None:
+            raise ConfigValidationError(["--grid cannot be combined with --axis/--values"])
+        return load_grid(args.grid)
+    if args.axis is None or args.values is None:
+        raise ConfigValidationError(["sweep needs --grid, or --axis with --values"])
+    entries = {}
+    for v in args.values:
+        if v in entries:
+            raise ConfigValidationError([f"--values: {args.axis} {v!r} is given twice"])
+        try:
+            entries[v] = {"arch": {args.axis: json.loads(v)}}
+        except (ValueError, RecursionError):
+            entries[v] = {"arch": {args.axis: v}}
+    return parse_grid({"axes": {args.axis: entries}})
 
 
 def cmd_sweep(args) -> int:
+    """Run every cell of the grid that has no report yet, after checking every
+    cell; then write sweep.csv and, for a grid with claims, ablation.csv and
+    ablation.md from the cell reports alone."""
     exp = _load(args)
+    axes, claims = _grid(args)
     out_dir = _out_dir(exp, args)
-    cells = []  # every cell's config is validated before the first one runs
-    seen = set()
-    for value in args.values:
-        doc = copy.deepcopy(exp.raw)
-        # A non-decimal kernel size stays a string, which validation rejects.
-        cell = value
-        if args.axis == "kernel_size" and value.isdecimal():
-            try:
-                cell = int(value)
-            except ValueError as e:  # beyond Python's integer digit limit
-                raise ConfigValidationError([f"--values: kernel_size: {e}"]) from None
-        if cell in seen:
-            raise ConfigValidationError(
-                [f"--values: {args.axis} {cell!r} is given twice"])
-        seen.add(cell)
-        doc["arch"][args.axis] = cell
-        cells.append((value, parse_experiment(doc)))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    cells = grid_cells(exp.raw, axes)
+    finished = {sub: _finished(out_dir / sub / "report.json", cell.raw)
+                for sub, (_, cell) in cells.items()}
     rows = []
-    for value, run_exp in cells:
-        report = run_federated(run_exp, threads=args.threads)
-        sub = out_dir / f"sweep_{args.axis}_{value}"
-        write_report(report, sub)
-        best = max(r.accuracy for r in report.records)
-        rows.append((value, report.final_accuracy, best,
-                     report.rounds_to_target, report.tms))
-        print(f"{args.axis}={value} final_accuracy={report.final_accuracy:.4f}")
-    lines = [f"{args.axis},final_accuracy,best_accuracy,rounds_to_target,tms"]
-    for value, final, best, rtt, tms_v in rows:
-        lines.append(f"{value},{final!r},{best!r},"
-                     f"{'' if rtt is None else rtt},{'' if tms_v is None else tms_v}")
-    write_atomic(out_dir / "sweep.csv", ("\n".join(lines) + "\n").encode("utf-8"))
+    for sub, (names, cell) in cells.items():
+        report = finished[sub]
+        if report is None:
+            _run(cell, out_dir / sub, args.threads)
+            report = read_json(out_dir / sub / "report.json", "cell report")
+        rows.append((names, report, count_flops(cell.arch)))
+        print(" ".join(f"{a}={n}" for a, n in zip(axes, names))
+              + f" final_accuracy={report['final_accuracy']:.4f}")
+    write_atomic(out_dir / "sweep.csv", sweep_csv(list(axes), rows))
+    if claims:
+        table_csv, table_md = ablation_tables(list(axes), rows, claims)
+        write_atomic(out_dir / "ablation.csv", table_csv)
+        write_atomic(out_dir / "ablation.md", table_md)
     return 0
+
+
+def _finished(path: Path, config: dict) -> dict | None:
+    """The report.json document at `path` when it echoes `config`; None when
+    there is none yet. Any other report stops the sweep."""
+    if not path.exists():
+        return None
+    doc = read_json(path, "cell report")
+    if not (isinstance(doc, dict) and json.dumps(doc.get("config"), sort_keys=True)
+            == json.dumps(config, sort_keys=True)):
+        raise ConfigValidationError(
+            [f"{path} holds another config; remove it or sweep into another --out"])
+    return doc
 
 
 def cmd_eval(args) -> int:
@@ -228,8 +253,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep")
     common(p)
-    p.add_argument("--axis", required=True, choices=_SWEEP_AXES)
-    p.add_argument("--values", required=True, nargs="+")
+    p.add_argument("--grid", default=None,
+                   help="grid file: axes of partial configs, and claims")
+    p.add_argument("--axis", default=None, choices=[f.name for f in fields(ArchConfig)],
+                   help="the arch key a one-axis grid sweeps")
+    p.add_argument("--values", default=None, nargs="+",
+                   help="the --axis values, each read as JSON or kept as text")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("eval")

@@ -19,7 +19,8 @@ from .models import ArchConfig, ConfigError
 from .optim import AGCConfig
 
 __all__ = ["ExperimentConfig", "FLConfig", "OptimConfig", "DataConfig",
-           "ConfigValidationError", "parse_experiment", "load_config"]
+           "ConfigValidationError", "parse_experiment", "load_config",
+           "parse_grid", "load_grid", "grid_cells"]
 
 
 class ConfigValidationError(ValueError):
@@ -354,25 +355,130 @@ def _unique_keys(pairs: list) -> dict:
     d = {}
     for key, value in pairs:
         if key in d:
-            raise ConfigValidationError([f"config file: key {key!r} is given twice"])
+            raise ValueError(f"key {key!r} is given twice")
         d[key] = value
     return d
 
 
-def load_config(path) -> ExperimentConfig:
+def read_json(path, what: str):
+    """The JSON document in the file `path`, or one ConfigValidationError
+    naming `what` for each way the file can be unreadable."""
     p = Path(path)
     if not p.exists():
-        raise ConfigValidationError([f"config file not found: {p}"])
+        raise ConfigValidationError([f"{what} not found: {p}"])
     try:
-        doc = json.loads(p.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+        return json.loads(p.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except UnicodeDecodeError as e:
-        raise ConfigValidationError([f"config file is not UTF-8: {e}"]) from None
+        raise ConfigValidationError([f"{what} is not UTF-8: {e}"]) from None
     except json.JSONDecodeError as e:
-        raise ConfigValidationError([f"config file is not valid JSON: {e}"]) from e
-    except ConfigValidationError:
-        raise
-    except ValueError as e:  # an integer literal beyond Python's digit limit
-        raise ConfigValidationError([f"config file: {e}"]) from None
+        raise ConfigValidationError([f"{what} is not valid JSON: {e}"]) from e
+    except ValueError as e:  # a repeated key, or an integer beyond the digit limit
+        raise ConfigValidationError([f"{what}: {e}"]) from None
     except RecursionError:
-        raise ConfigValidationError(["config file is nested too deeply"]) from None
-    return parse_experiment(doc)
+        raise ConfigValidationError([f"{what} is nested too deeply"]) from None
+
+
+def load_config(path) -> ExperimentConfig:
+    return parse_experiment(read_json(path, "config file"))
+
+
+# ---------------------------------------------------------------------------
+# sweep grids
+# ---------------------------------------------------------------------------
+
+def _bad_name(name: str) -> bool:
+    # Axis and entry names become parts of cell directory names.
+    return (not name or name.startswith(".")
+            or any(c in "/\0" or c.isspace() for c in name))
+
+
+def _entry(axes: dict, axis, name) -> bool:
+    entries = axes.get(axis) if isinstance(axis, str) else None
+    return isinstance(entries, dict) and isinstance(name, str) and name in entries
+
+
+def parse_grid(doc) -> tuple[dict, list]:
+    """Validate a sweep grid document and return its axes and claims.
+
+    `axes` maps each axis name, in order, to its entries: entry name ->
+    partial config document. A claim names an `axis`, the entry the paper
+    rates `better` and the one it rates `worse`, and in `at` an entry of any
+    other axis that fixes it. `grid_cells` checks the cells themselves.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigValidationError(["grid: expected a JSON object"])
+    errors = [f"grid.{key}: unknown key" for key in sorted(set(doc) - {"axes", "claims"})]
+    axes = doc.get("axes")
+    if not isinstance(axes, dict) or not axes:
+        errors.append("grid.axes: expected a non-empty object")
+        axes = {}
+    for axis, entries in axes.items():
+        names = [axis] + (list(entries) if isinstance(entries, dict) else [])
+        errors += [f"grid.axes: name {n!r} is empty, starts with '.', or holds "
+                   "'/' or whitespace" for n in names if _bad_name(n)]
+        if not isinstance(entries, dict) or not entries:
+            errors.append(f"grid.axes.{axis}: expected a non-empty object")
+            continue
+        errors += [f"grid.axes.{axis}.{name}: expected an object, got {part!r}"
+                   for name, part in entries.items() if not isinstance(part, dict)]
+    claims = doc.get("claims", [])
+    if not isinstance(claims, list):
+        errors.append("grid.claims: expected a list")
+        claims = []
+    for i, claim in enumerate(claims):
+        where = f"grid.claims[{i}]"
+        if not isinstance(claim, dict):
+            errors.append(f"{where}: expected an object")
+            continue
+        errors += [f"{where}.{k}: unknown key"
+                   for k in sorted(set(claim) - {"axis", "better", "worse", "at"})]
+        axis, at = claim.get("axis"), claim.get("at", {})
+        for key in ("better", "worse"):
+            if not _entry(axes, axis, claim.get(key)):
+                errors.append(f"{where}.{key}: axis {axis!r} has no entry "
+                              f"{claim.get(key)!r}")
+        if claim.get("better") == claim.get("worse"):
+            errors.append(f"{where}: better and worse are the same entry")
+        if not isinstance(at, dict):
+            errors.append(f"{where}.at: expected an object")
+            continue
+        errors += [f"{where}.at: axis {a!r} has no entry {name!r}"
+                   for a, name in at.items() if a == axis or not _entry(axes, a, name)]
+    if errors:
+        raise ConfigValidationError(errors)
+    return axes, claims
+
+
+def load_grid(path) -> tuple[dict, list]:
+    return parse_grid(read_json(path, "grid file"))
+
+
+def _merge(doc: dict, part: dict) -> dict:
+    """`doc` with the partial document `part` merged in: objects key by key,
+    any other value replaced."""
+    out = dict(doc)
+    for key, value in part.items():
+        both = isinstance(value, dict) and isinstance(out.get(key), dict)
+        out[key] = _merge(out[key], value) if both else value
+    return out
+
+
+def grid_cells(base: dict, axes: dict) -> dict:
+    """Every cell of the grid `axes` over the config document `base`, in grid
+    order, each validated: directory name -> (entry name on each axis,
+    config). A cell is `base` merged with one entry per axis, and its
+    directory is `sweep_<axis>_<entry>` over the axes in order."""
+    docs = [((), "sweep", base)]
+    for axis, entries in axes.items():
+        docs = [(names + (name,), f"{sub}_{axis}_{name}", _merge(doc, part))
+                for names, sub, doc in docs for name, part in entries.items()]
+    cells = {}
+    for names, sub, doc in docs:
+        try:
+            exp = parse_experiment(doc)
+        except ConfigValidationError as e:
+            raise ConfigValidationError([f"cell {sub}: {e}"]) from None
+        if sub in cells:
+            raise ConfigValidationError([f"cell {sub}: two cells share its directory"])
+        cells[sub] = names, exp
+    return cells

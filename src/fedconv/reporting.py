@@ -243,6 +243,153 @@ def write_report(report: ExperimentReport, out_dir) -> tuple[Path, Path]:
     return csv_path, json_path
 
 
+# ---------------------------------------------------------------------------
+# sweep tables
+# ---------------------------------------------------------------------------
+
+def _csv_field(text: str) -> str:
+    """`text` as one CSV field: quoted, quotes doubled, when it holds a
+    comma, a quote or a newline."""
+    if any(c in text for c in ',"\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def sweep_csv(axes: list[str], cells) -> bytes:
+    """sweep.csv of a sweep's `cells`, (entry names, report.json document,
+    MACs per sample) triples in grid order: a row per cell with its entry
+    name on each axis, then its final and best accuracy, rounds to target
+    and TMS."""
+    lines = [",".join([*map(_csv_field, axes), "final_accuracy", "best_accuracy",
+                       "rounds_to_target", "tms"])]
+    for names, doc, _ in cells:
+        best = max(r["accuracy"] for r in doc["records"])
+        rtt, tms_v = doc["rounds_to_target"], doc["tms"]
+        lines.append(",".join([*map(_csv_field, names), repr(doc["final_accuracy"]),
+                               repr(best), "" if rtt is None else str(rtt),
+                               "" if tms_v is None else str(tms_v)]))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def sign_test_p(wins: int, losses: int) -> float:
+    """One-sided paired sign test: the chance of `wins` or more wins in
+    wins + losses fair coin flips. Tied pairs count in neither."""
+    n = wins + losses
+    return sum(math.comb(n, i) for i in range(wins, n + 1)) / 2 ** n
+
+
+def claim_verdict(wins: int, losses: int, alpha: float = 0.05) -> str:
+    """"reproduced" when the claim's one-sided p is at most `alpha`,
+    "contradicted" when the opposite one-sided p is, else "inconclusive"
+    (always so with no untied pair, whose p is 1)."""
+    if sign_test_p(wins, losses) <= alpha:
+        return "reproduced"
+    if sign_test_p(losses, wins) <= alpha:
+        return "contradicted"
+    return "inconclusive"
+
+
+def _mean(xs) -> float:
+    xs = list(xs)
+    return sum(xs) / len(xs)
+
+
+def _span(values) -> str:
+    values = list(values)
+    lo, hi = min(values), max(values)
+    return f"{lo:,}" if lo == hi else f"{lo:,}-{hi:,}"
+
+
+def claim_rows(axes: list[str], cells, claims) -> list[dict]:
+    """Each claim decided over its paired cells. `cells` are (entry names,
+    report.json document, MACs per sample) triples; a claim's pairs are the
+    cells at its `better` entry (and its `at` entries) with the cell that
+    differs only in holding its `worse` entry. Capacity could explain a
+    claim whose better side has more parameters or MACs in any pair."""
+    by_names = {names: (doc, macs) for names, doc, macs in cells}
+    rows = []
+    for claim in claims:
+        i = axes.index(claim["axis"])
+        at = {axes.index(a): name for a, name in claim.get("at", {}).items()}
+        pairs = [(by_names[names], by_names[names[:i] + (claim["worse"],) + names[i + 1:]])
+                 for names in by_names
+                 if names[i] == claim["better"]
+                 and all(names[j] == name for j, name in at.items())]
+        diffs = [b["final_accuracy"] - w["final_accuracy"] for (b, _), (w, _) in pairs]
+        wins, losses = sum(d > 0 for d in diffs), sum(d < 0 for d in diffs)
+        capacity = [what for what, more in (
+            ("params", any(b["params"] > w["params"] for (b, _), (w, _) in pairs)),
+            ("macs", any(bm > wm for (_, bm), (_, wm) in pairs))) if more]
+        rows.append({
+            "claim": f"{claim['axis']}: {claim['better']} > {claim['worse']}",
+            "at": ";".join(f"{a}={name}" for a, name in claim.get("at", {}).items()),
+            "pairs": len(pairs), "wins": wins, "losses": losses,
+            "ties": len(pairs) - wins - losses,
+            "better_mean": _mean(b["final_accuracy"] for (b, _), _ in pairs) if pairs else None,
+            "worse_mean": _mean(w["final_accuracy"] for _, (w, _) in pairs) if pairs else None,
+            "p": sign_test_p(wins, losses), "p_opposite": sign_test_p(losses, wins),
+            "verdict": claim_verdict(wins, losses), "capacity": ";".join(capacity)})
+    return rows
+
+
+def ablation_tables(axes: list[str], cells, claims) -> tuple[bytes, bytes]:
+    """ablation.csv and ablation.md of a sweep with claims, from its cells
+    alone (see `claim_rows`): the claims, the mean final accuracy by the
+    first two axes, and each compared entry's parameters and MACs."""
+    rows = claim_rows(axes, cells, claims)
+    keys = list(rows[0]) if rows else []
+    csv_lines = [",".join(keys)] + [
+        ",".join(_csv_field(_fmt(v) if isinstance(v, float) or v is None else str(v))
+                 for v in row.values()) for row in rows]
+
+    def pct(x):
+        return "-" if x is None else f"{x:.2f}"
+
+    md = ["# Ablation table", "",
+          "Generated by `fedconv sweep` from the cell reports alone; rerunning "
+          "the sweep rewrites it without training. A claim compares final "
+          "accuracy (%) over cells paired on every other axis, by a one-sided "
+          "paired sign test in the claim's direction (ties dropped): "
+          "reproduced at p <= 0.05, contradicted when the opposite test gives "
+          "p <= 0.05, inconclusive otherwise. \"capacity\" names what the "
+          "better side has more of in some pair, which could explain the claim.",
+          "", "## Claims", "",
+          "| claim | at | pairs | wins | losses | ties | mean better | mean worse "
+          "| p | opposite p | verdict | capacity |",
+          "|---|---|---|---|---|---|---|---|---|---|---|---|"]
+    md += [f"| {r['claim']} | {r['at']} | {r['pairs']} | {r['wins']} | {r['losses']} "
+           f"| {r['ties']} | {pct(r['better_mean'])} | {pct(r['worse_mean'])} "
+           f"| {r['p']:.4f} | {r['p_opposite']:.4f} | {r['verdict']} | {r['capacity']} |"
+           for r in rows]
+    first, second = axes[0], axes[1] if len(axes) > 1 else None
+    cols = list(dict.fromkeys(n[1] for n, _, _ in cells)) if second else [None]
+
+    def docs(col, entry=None):
+        return [d for n, d, _ in cells if (col is None or n[1] == col)
+                and (entry is None or n[0] == entry)]
+
+    md += ["", f"## Mean final accuracy (%) by {first}"
+           + (f" and {second}" if second else ""), "",
+           f"| {first} | " + (" | ".join(cols) if second else "all") + " |",
+           "|---|" + "---|" * len(cols)]
+    md += [f"| {entry} | " + " | ".join(
+        pct(_mean(d["final_accuracy"] for d in docs(col, entry))) for col in cols) + " |"
+        for entry in dict.fromkeys(n[0] for n, _, _ in cells)]
+    ks = [[d["partition_mean_ks"] for d in docs(col)] for col in cols]
+    md.append("| partition KS | " + " | ".join(
+        "-" if None in k else f"{_mean(k):.4f}" for k in ks) + " |")
+    md += ["", "## Cost of the compared entries", "",
+           "| axis | entry | params | MACs per sample |", "|---|---|---|---|"]
+    for axis in dict.fromkeys(c["axis"] for c in claims):
+        i = axes.index(axis)
+        for name in dict.fromkeys(names[i] for names, _, _ in cells):
+            of_entry = [(d["params"], m) for names, d, m in cells if names[i] == name]
+            md.append(f"| {axis} | {name} | {_span(p for p, _ in of_entry)} "
+                      f"| {_span(m for _, m in of_entry)} |")
+    return (("\n".join(csv_lines) + "\n").encode("utf-8"),
+            ("\n".join(md) + "\n").encode("utf-8"))
+
+
 class StopWatch:
     def __enter__(self):
         self.t0 = time.perf_counter()
