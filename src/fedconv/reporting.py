@@ -325,8 +325,8 @@ def claim_rows(axes: list[str], cells, claims) -> list[dict]:
             "at": ";".join(f"{a}={name}" for a, name in claim.get("at", {}).items()),
             "pairs": len(pairs), "wins": wins, "losses": losses,
             "ties": len(pairs) - wins - losses,
-            "better_mean": _mean(b["final_accuracy"] for (b, _), _ in pairs) if pairs else None,
-            "worse_mean": _mean(w["final_accuracy"] for _, (w, _) in pairs) if pairs else None,
+            "better_mean": _mean(b["final_accuracy"] for (b, _), _ in pairs),
+            "worse_mean": _mean(w["final_accuracy"] for _, (w, _) in pairs),
             "p": sign_test_p(wins, losses), "p_opposite": sign_test_p(losses, wins),
             "verdict": claim_verdict(wins, losses), "capacity": ";".join(capacity)})
     return rows
@@ -337,13 +337,9 @@ def ablation_tables(axes: list[str], cells, claims) -> tuple[bytes, bytes]:
     alone (see `claim_rows`): the claims, the mean final accuracy by the
     first two axes, and each compared entry's parameters and MACs."""
     rows = claim_rows(axes, cells, claims)
-    keys = list(rows[0]) if rows else []
-    csv_lines = [",".join(keys)] + [
-        ",".join(_csv_field(_fmt(v) if isinstance(v, float) or v is None else str(v))
+    csv_lines = [",".join(rows[0])] + [
+        ",".join(_csv_field(repr(v) if isinstance(v, float) else str(v))
                  for v in row.values()) for row in rows]
-
-    def pct(x):
-        return "-" if x is None else f"{x:.2f}"
 
     md = ["# Ablation table", "",
           "Generated by `fedconv sweep` from the cell reports alone; rerunning "
@@ -358,7 +354,7 @@ def ablation_tables(axes: list[str], cells, claims) -> tuple[bytes, bytes]:
           "| p | opposite p | verdict | capacity |",
           "|---|---|---|---|---|---|---|---|---|---|---|---|"]
     md += [f"| {r['claim']} | {r['at']} | {r['pairs']} | {r['wins']} | {r['losses']} "
-           f"| {r['ties']} | {pct(r['better_mean'])} | {pct(r['worse_mean'])} "
+           f"| {r['ties']} | {r['better_mean']:.2f} | {r['worse_mean']:.2f} "
            f"| {r['p']:.4f} | {r['p_opposite']:.4f} | {r['verdict']} | {r['capacity']} |"
            for r in rows]
     first, second = axes[0], axes[1] if len(axes) > 1 else None
@@ -373,11 +369,10 @@ def ablation_tables(axes: list[str], cells, claims) -> tuple[bytes, bytes]:
            f"| {first} | " + (" | ".join(cols) if second else "all") + " |",
            "|---|" + "---|" * len(cols)]
     md += [f"| {entry} | " + " | ".join(
-        pct(_mean(d["final_accuracy"] for d in docs(col, entry))) for col in cols) + " |"
+        f"{_mean(d['final_accuracy'] for d in docs(col, entry)):.2f}" for col in cols) + " |"
         for entry in dict.fromkeys(n[0] for n, _, _ in cells)]
-    ks = [[d["partition_mean_ks"] for d in docs(col)] for col in cols]
     md.append("| partition KS | " + " | ".join(
-        "-" if None in k else f"{_mean(k):.4f}" for k in ks) + " |")
+        f"{_mean(d['partition_mean_ks'] for d in docs(col)):.4f}" for col in cols) + " |")
     md += ["", "## Cost of the compared entries", "",
            "| axis | entry | params | MACs per sample |", "|---|---|---|---|"]
     for axis in dict.fromkeys(c["axis"] for c in claims):
